@@ -18,7 +18,7 @@ import time
 
 from bstbounds import SeparationParams, separation_sequence
 from bstbounds.alternation import alt_bound, alt_opt, balanced_tree
-from bstbounds.funnel import funnel_bound
+from bstbounds.funnel import funnel_bound_fast
 from bstbounds.geometry import from_trace
 
 
@@ -41,7 +41,7 @@ def main() -> int:
         start = time.perf_counter()
         trace = separation_sequence(SeparationParams(k, reps))
         P = from_trace(trace)
-        fb = funnel_bound(P)
+        fb = funnel_bound_fast(P)
         keys = sorted(set(trace))
         if len(keys) <= args.opt_keys:
             alt, tree_kind = alt_opt(P).value, "opt"

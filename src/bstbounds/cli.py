@@ -72,7 +72,7 @@ def compute_bounds(
             tree_source = "opt"
             tree_text = alternation.format_tree(witness.tree)
         elif name == "funnel":
-            value = funnel.funnel_bound(P)
+            value = funnel.funnel_bound_fast(P)
         elif name == "zrects":
             value = zrect.zrects(P).count
         elif name == "irb-up":

@@ -5,6 +5,16 @@ keys appear in relative order 3,1,4,2 over time and whose spanned
 axis-aligned box contains no other point of the set.  Counting them
 requires distinct x- and y-coordinates; on degenerate inputs the count
 is meaningless, so such inputs are refused.
+
+``zrects`` reads them off the funnel walk of ``funnel.move_to_root``.
+Label each point of the top's funnel R or L by side and read it in
+descending time.  Every ``R L+ R`` pattern is exactly one z-rectangle:
+left is the last L of the run (the closest to the top in x), bottom is
+the R that ends the run, and right is the last R before the run.
+Conversely, the left, bottom and right of a z-rectangle all lie in
+the top's funnel, and a funnel point between them in time would lie
+inside the box.  ``is_zrect`` and ``zrects_brute`` check the definition literally and
+serve as oracles.
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple
 
+from .funnel import ZRectRoles, move_to_root
 from .geometry import Point, PointSet, require_distinct_xy
 
 
@@ -47,45 +58,15 @@ def is_zrect(P: PointSet, p: Point, q: Point, r: Point, s: Point) -> bool:
 def zrects(P: PointSet) -> ZRectResult:
     """Count all z-rectangles and return them, canonically sorted.
 
-    For a candidate (top, bottom) pair the other two roles are forced:
-    the left point must be the rightmost point left of the top within
-    the open y-band, and the right point the leftmost point right of
-    the bottom — any other choice leaves a point inside the box.  Each
-    forced quadruple is then checked against the full definition.
+    Read off the move-to-root funnel walk: the z-rectangles with top p
+    are the left-runs with a right-run on both sides in p's funnel,
+    taken in descending time.
     """
     require_distinct_xy(P, "zrects")
-    pts = P.by_y
-    m = len(pts)
-    found: list[ZRect] = []
-    for ti in range(m):  # top point
-        px, py = pts[ti]
-        for tr in range(ti):  # bottom point, strictly earlier in time
-            rx, ry = pts[tr]
-            if rx <= px:
-                continue
-            qx = qy = sx = sy = None
-            for tb in range(tr + 1, ti):
-                bx, by = pts[tb]
-                if bx < px and (qx is None or bx > qx):
-                    qx, qy = bx, by
-                if bx > rx and (sx is None or bx < sx):
-                    sx, sy = bx, by
-            if qx is None or sx is None:
-                continue
-            # Forced roles; verify ordering and box emptiness.
-            if not (qx < px < rx < sx):
-                continue
-            if not (ry < qy < sy < py):
-                continue
-            band_hits = 0
-            for tb in range(tr + 1, ti):
-                bx, _ = pts[tb]
-                if qx <= bx <= sx:
-                    band_hits += 1
-            if band_hits == 2:  # exactly the forced left and right points
-                found.append(ZRect((px, py), (qx, qy), (rx, ry), (sx, sy)))
+    found: list[ZRectRoles] = []
+    move_to_root(P.by_y, found)
     found.sort()
-    return ZRectResult(len(found), found)
+    return ZRectResult(len(found), [ZRect(*w) for w in found])
 
 
 def zrects_brute(P: PointSet, max_points: int = 12) -> int:

@@ -99,13 +99,29 @@ coords = st.integers(-50, 50)
 
 
 @st.composite
-def point_sets(draw, max_size: int = 12, distinct_x: bool = False) -> PointSet:
-    """Random point sets with distinct y; optionally distinct x too."""
+def point_sets(
+    draw, max_size: int = 12, distinct_x: bool = False, key_span: int = 50
+) -> PointSet:
+    """Random point sets with distinct y; optionally distinct x too.
+
+    x is drawn from [-key_span, key_span]; a small span makes repeated
+    x common.
+    """
     ys = draw(st.lists(coords, unique=True, max_size=max_size))
     xs = draw(
-        st.lists(coords, unique=distinct_x, min_size=len(ys), max_size=len(ys))
+        st.lists(
+            st.integers(-key_span, key_span),
+            unique=distinct_x,
+            min_size=len(ys),
+            max_size=len(ys),
+        )
     )
     return PointSet(zip(xs, ys))
+
+
+def traces(max_keys: int = 6, max_size: int = 40):
+    """Random traces over few keys, so that keys repeat."""
+    return st.lists(st.integers(1, max_keys), max_size=max_size)
 
 
 @st.composite
@@ -114,3 +130,38 @@ def disjoint_int_sets(draw, max_size: int = 20) -> tuple[set[int], set[int]]:
     mask = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
     left = {v for v, lm in zip(pool, mask) if lm}
     return left, set(pool) - left
+
+
+def zrects_forced_roles(P: PointSet) -> list:
+    """Cubic z-rectangle scan, kept as an oracle for ``zrects``.
+
+    For a candidate (top, bottom) pair the other two roles are forced:
+    the left point must be the rightmost point left of the top within
+    the open y-band, and the right point the leftmost point right of
+    the bottom.  Each forced quadruple is then checked against the full
+    definition.  Returns the witnesses, sorted.
+    """
+    pts = P.by_y
+    found = []
+    for ti in range(len(pts)):  # top point
+        px, py = pts[ti]
+        for tr in range(ti):  # bottom point, strictly earlier in time
+            rx, ry = pts[tr]
+            if rx <= px:
+                continue
+            qx = qy = sx = sy = None
+            for tb in range(tr + 1, ti):
+                bx, by = pts[tb]
+                if bx < px and (qx is None or bx > qx):
+                    qx, qy = bx, by
+                if bx > rx and (sx is None or bx < sx):
+                    sx, sy = bx, by
+            if qx is None or sx is None:
+                continue
+            if not (qx < px < rx < sx and ry < qy < sy < py):
+                continue
+            band_hits = sum(1 for tb in range(tr + 1, ti) if qx <= pts[tb][0] <= sx)
+            if band_hits == 2:  # exactly the forced left and right points
+                found.append(bb.ZRect((px, py), (qx, qy), (rx, ry), (sx, sy)))
+    found.sort()
+    return found

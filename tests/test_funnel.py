@@ -1,9 +1,11 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 import bstbounds as bb
 from bstbounds.funnel import f_value, funnel_bound, funnel_bound_fast, funnel_of
-from bstbounds.geometry import PointSet, from_trace, hflip, time_reverse
+from bstbounds.geometry import PointSet, from_trace, hflip, rotate90, time_reverse
 
 from conftest import (
     FUNNEL_LEFT,
@@ -14,6 +16,7 @@ from conftest import (
     funnel_brute,
     point_sets,
     seeded_perms,
+    traces,
 )
 
 
@@ -85,8 +88,6 @@ def test_hflip_preserves_point_contributions(P):
 
 
 def test_concatenation_is_superadditive():
-    import random
-
     rng = random.Random(13)
     for _ in range(50):
         n = rng.randint(1, 12)
@@ -116,14 +117,42 @@ def test_fast_mode_examples():
     assert funnel_bound_fast(PointSet()) == 0
 
 
-def test_fast_mode_refuses_repeated_keys():
-    with pytest.raises(ValueError, match="distinct x"):
-        funnel_bound_fast(from_trace([1, 2, 1]))
+def test_fast_mode_accepts_repeated_keys():
+    P = from_trace([1, 2, 1])
+    assert funnel_bound_fast(P) == funnel_bound(P) == 2
+    sep = from_trace(bb.separation_sequence(bb.SeparationParams(2)))
+    assert not sep.has_distinct_x
+    assert funnel_bound_fast(sep) == funnel_bound(sep)
 
 
 def test_fast_mode_matches_reference():
     for P in seeded_perms(150, 60, seed=301):
         assert funnel_bound_fast(P) == funnel_bound(P)
+        Q = rotate90(P)
+        assert funnel_bound_fast(Q) == funnel_bound(Q)
+    rng = random.Random(302)
+    for _ in range(200):  # repeated keys, from few to nearly all distinct
+        n = rng.randint(1, 80)
+        keys = rng.randint(1, n)
+        P = from_trace([rng.randint(1, keys) for _ in range(n)])
+        assert funnel_bound_fast(P) == funnel_bound(P)
+
+
+@given(traces())
+def test_fast_mode_matches_reference_on_repeated_keys(trace):
+    P = from_trace(trace)
+    assert funnel_bound_fast(P) == funnel_bound(P)
+
+
+@given(point_sets(distinct_x=True))
+def test_fast_mode_matches_reference_on_rotated_sets(P):
+    Q = rotate90(P)
+    assert funnel_bound_fast(Q) == funnel_bound(Q)
+
+
+@given(point_sets(key_span=4))
+def test_fast_mode_matches_reference_on_repeated_x(P):
+    assert funnel_bound_fast(P) == funnel_bound(P)
 
 
 def test_funnel_requires_distinct_y():

@@ -15,6 +15,7 @@ from conftest import (
     ZR_VALID_ROLES,
     point_sets,
     seeded_perms,
+    zrects_forced_roles,
 )
 
 
@@ -103,11 +104,22 @@ def test_rotation_invariance_with_witness_bijection(P):
     assert mapped == set(rot_result.witnesses)
 
 
-@given(point_sets(max_size=9, distinct_x=True))
+@given(point_sets(max_size=12, distinct_x=True))
 @settings(max_examples=60)
 def test_every_witness_satisfies_the_definition(P):
-    for w in zrects(P).witnesses:
+    result = zrects(P)
+    for w in result.witnesses:
         assert is_zrect(P, w.top, w.left, w.bottom, w.right)
+    assert len(set(result.witnesses)) == len(result.witnesses) == result.count
+    assert result.count == zrects_brute(P)
+
+
+def test_witnesses_match_forced_role_oracle():
+    # Up to m=200 the funnel paths hold many R L+ R patterns.
+    for P in seeded_perms(30, 200, seed=606, min_n=100):
+        assert zrects(P).witnesses == zrects_forced_roles(P)
+    for P in seeded_perms(200, 40, seed=607):
+        assert zrects(P).witnesses == zrects_forced_roles(P)
 
 
 def test_sandwich_inequalities_on_random_permutations():
