@@ -6,7 +6,8 @@ blocks so that no reference tree alternates much, while the funnel value
 keeps growing.  This prints one TSV row per k with both bound values and
 their ratio.  The alternation side uses the interval-DP optimum while the
 key count stays small and falls back to the balanced tree above the
---opt-keys threshold (the DP is cubic in the key count).
+--opt-keys threshold (the DP costs O(n^2 * m) for n keys and m
+accesses; k=3 has n=256 and m=264,192).
 
 Usage: python scripts/separation_trend.py [--ks 2 3] [--reps-full]
 """

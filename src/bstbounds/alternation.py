@@ -17,7 +17,6 @@ import random
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .geometry import PointSet, require_distinct_y
-from .mixing import merged_blocks
 
 Tree = Union[int, tuple["Tree", "Tree"]]
 
@@ -144,8 +143,14 @@ def alt_opt(P: PointSet) -> AltWitness:
     intervals, so the maximum decomposes over key intervals:
 
         best(i..j) = max over splits k of
-                     merged_blocks(times of keys i..k, times of keys k+1..j)
-                     + best(i..k) + best(k+1..j)
+                     1 + crossings(i..j, k) + best(i..k) + best(k+1..j)
+
+    where crossings(i..j, k) counts consecutive accesses, among those to
+    keys i..j, whose ranks a < b satisfy a <= k < b.  One pass over the
+    accesses per interval adds +1 at a and -1 at b to a difference array,
+    whose prefix sums give the count for every k at once; the 1 is the
+    first run, since both sides hold an accessed key.  Cost O(n^2 * m)
+    for n distinct keys and m accesses.
 
     Ties pick the leftmost split, so the witness is deterministic.
     """
@@ -155,24 +160,28 @@ def alt_opt(P: PointSet) -> AltWitness:
     keys = sorted({x for x, _ in P})
     n = len(keys)
     index = {k: i for i, k in enumerate(keys)}
-    times: list[list[int]] = [[] for _ in range(n)]
-    for x, y in P.by_y:
-        times[index[x]].append(y)  # ascending y, since by_y is sorted
+    ranks = [index[x] for x, _ in P.by_y]
 
-    # ys[i][j]: merged times of keys i..j; value/split: DP tables.
-    ys: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
     value = [[0] * n for _ in range(n)]
     split = [[0] * n for _ in range(n)]
-    for i in range(n):
-        ys[i][i] = times[i]
     for length in range(2, n + 1):
         for i in range(n - length + 1):
             j = i + length - 1
-            ys[i][j] = _merge(ys[i][j - 1], times[j])
+            kept = [r for r in ranks if i <= r <= j]
+            diff = [0] * n
+            for a, b in zip(kept, kept[1:]):
+                if a < b:
+                    diff[a] += 1
+                    diff[b] -= 1
+                elif b < a:
+                    diff[b] += 1
+                    diff[a] -= 1
             best = -1
             best_k = i
+            crossings = 0
             for k in range(i, j):
-                v = merged_blocks(ys[i][k], ys[k + 1][j]) + value[i][k] + value[k + 1][j]
+                crossings += diff[k]
+                v = 1 + crossings + value[i][k] + value[k + 1][j]
                 if v > best:
                     best = v
                     best_k = k
@@ -186,21 +195,6 @@ def alt_opt(P: PointSet) -> AltWitness:
         return (build(i, k), build(k + 1, j))
 
     return AltWitness(value[0][n - 1], build(0, n - 1))
-
-
-def _merge(a: list[int], b: list[int]) -> list[int]:
-    out: list[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] < b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
 
 
 def enumerate_trees(keys: Sequence[int]) -> Iterator[Tree]:

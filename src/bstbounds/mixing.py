@@ -31,8 +31,8 @@ def blocks(s: str) -> int:
 def merged_blocks(a: Sequence[int], b: Sequence[int]) -> int:
     """Run count of the label string of merging two sorted disjoint lists.
 
-    Hot path shared with the interval DP; inputs must already be sorted
-    and disjoint, which is not re-checked here.
+    Inputs must already be sorted and disjoint, which is not re-checked
+    here.
     """
     i, j = 0, 0
     na, nb = len(a), len(b)

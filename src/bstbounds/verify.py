@@ -91,10 +91,11 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     pointwise = all(
         funnel.f_value(P, (x, y)) == funnel.f_value(flipped, (-x, y)) for x, y in P
     )
+    flipped_fb = funnel.funnel_bound(flipped)
     report.add(
         "funnel-hflip",
-        pointwise and fb == funnel.funnel_bound(flipped),
-        f"funnel {fb} vs flipped {funnel.funnel_bound(flipped)}",
+        pointwise and fb == flipped_fb,
+        f"funnel {fb} vs flipped {flipped_fb}",
     )
 
     if not P.has_distinct_x:

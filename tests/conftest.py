@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import bstbounds as bb
 from bstbounds.geometry import Point, PointSet
+from bstbounds.mixing import merged_blocks
 
 # Trace with a repeated key; its alternation value for the five-leaf
 # tree ((1 (2 3)) (4 5)) is 11.
@@ -165,3 +166,41 @@ def zrects_forced_roles(P: PointSet) -> list:
                 found.append(bb.ZRect((px, py), (qx, qy), (rx, ry), (sx, sy)))
     found.sort()
     return found
+
+
+def alt_opt_merged_table(P: PointSet) -> bb.AltWitness:
+    """Interval DP over a table of merged access times, kept as an oracle
+    for ``alt_opt``.
+
+    ``ys[i][j]`` holds the sorted times of keys i..j, and every split k
+    costs one ``merged_blocks(ys[i][k], ys[k + 1][j])``.  Same recurrence
+    and leftmost-split tie rule as ``alt_opt``, so the witness tree must
+    match too.
+    """
+    keys = sorted({x for x, _ in P})
+    n = len(keys)
+    index = {k: i for i, k in enumerate(keys)}
+    times: list[list[int]] = [[] for _ in range(n)]
+    for x, y in P.by_y:
+        times[index[x]].append(y)
+    ys = [[times[i] if i == j else [] for j in range(n)] for i in range(n)]
+    value = [[0] * n for _ in range(n)]
+    split = [[0] * n for _ in range(n)]
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            ys[i][j] = sorted(ys[i][j - 1] + times[j])
+            best = -1
+            for k in range(i, j):
+                v = merged_blocks(ys[i][k], ys[k + 1][j]) + value[i][k] + value[k + 1][j]
+                if v > best:
+                    best, split[i][j] = v, k
+            value[i][j] = best
+
+    def build(i: int, j: int):
+        if i == j:
+            return keys[i]
+        k = split[i][j]
+        return (build(i, k), build(k + 1, j))
+
+    return bb.AltWitness(value[0][n - 1], build(0, n - 1))

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 import bstbounds as bb
 from bstbounds.alternation import (
@@ -16,7 +17,15 @@ from bstbounds.alternation import (
 )
 from bstbounds.geometry import from_trace
 
-from conftest import SIX_ALT, SIX_TRACE, SIX_TREE_TEXT, perm_pointset, seeded_perms
+from conftest import (
+    SIX_ALT,
+    SIX_TRACE,
+    SIX_TREE_TEXT,
+    alt_opt_merged_table,
+    perm_pointset,
+    seeded_perms,
+    traces,
+)
 
 
 def test_balanced_tree_shapes():
@@ -115,6 +124,43 @@ def test_alt_brute_cap():
 def test_alt_opt_matches_brute_on_random_permutations():
     for P in seeded_perms(60, 7, seed=101):
         assert alt_opt(P).value == alt_brute(P).value
+
+
+def _uniform_traces(count: int, max_keys: int, max_len: int, seed: int):
+    """Seeded uniform traces over at most max_keys keys, so m >> n."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_keys)
+        yield [rng.randint(1, n) for _ in range(rng.randint(1, max_len))]
+
+
+def test_alt_opt_matches_brute_on_repeated_keys():
+    for trace in _uniform_traces(80, 8, 60, seed=303):
+        P = from_trace(trace)
+        witness = alt_opt(P)
+        assert witness.value == alt_brute(P).value, trace
+        assert alt_bound(P, witness.tree) == witness.value, trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(traces())
+def test_alt_opt_matches_brute_on_random_traces(trace):
+    if not trace:
+        return
+    P = from_trace(trace)
+    witness = alt_opt(P)
+    assert witness.value == alt_brute(P).value
+    assert alt_bound(P, witness.tree) == witness.value
+
+
+def test_alt_opt_matches_merged_table_oracle():
+    # Value and tree: the leftmost-split tie rule is pinned beyond the
+    # reach of alt_brute.
+    cases = list(seeded_perms(25, 40, seed=404))
+    cases += [from_trace(t) for t in _uniform_traces(25, 40, 120, seed=505)]
+    cases += [from_trace(t) for t in _uniform_traces(100, 8, 60, seed=606)]
+    for P in cases:
+        assert alt_opt(P) == alt_opt_merged_table(P)
 
 
 def test_alt_opt_dominates_any_tree():

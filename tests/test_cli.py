@@ -3,6 +3,7 @@ import io
 import pytest
 
 import bstbounds as bb
+import bstbounds.alternation
 import bstbounds.funnel
 from bstbounds.cli import compute_bounds, load_pointset, main
 from bstbounds.geometry import from_trace, parse_pointset, serialize_pointset
@@ -75,6 +76,45 @@ def test_compute_alt_opt_prints_witness(capsys, trace_file):
     value = int(lines[0].split("\t")[1])
     tree = bb.parse_tree(lines[1].split(": ", 1)[1])
     assert bb.alt_bound(from_trace(SIX_TRACE), tree) == value
+
+
+def test_alt_opt_runs_once_for_opt_tree(capsys, trace_file, monkeypatch):
+    calls = []
+    real = bstbounds.alternation.alt_opt
+
+    def counting(P):
+        calls.append(P)
+        return real(P)
+
+    monkeypatch.setattr(bstbounds.alternation, "alt_opt", counting)
+    code, out, _ = run(
+        capsys, "compute", trace_file, "--bounds", "alt,alt-opt", "--tree", "opt"
+    )
+    assert code == 0
+    assert len(calls) == 1
+    values = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
+    assert values["alt"] == values["alt-opt"]
+    report = compute_bounds(from_trace([2, 1, 3, 2]), ["alt-opt", "alt"], "opt")
+    assert len(calls) == 2
+    assert report.entries[0].value == report.entries[1].value
+
+
+def test_deep_reference_tree_is_refused_cleanly(capsys, tmp_path):
+    n = 3000
+    trace = tmp_path / "keys.txt"
+    trace.write_text("".join(f"{k}\n" for k in range(1, n + 1)))
+    caterpillar = str(n)
+    for k in range(n - 1, 0, -1):
+        caterpillar = f"({k} {caterpillar})"
+    tree = tmp_path / "deep.tree"
+    tree.write_text(caterpillar + "\n")
+    code, out, err = run(
+        capsys, "compute", str(trace), "--bounds", "alt", "--tree", f"@{tree}"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bstbounds: reference tree too deep (")
+    assert len(err.splitlines()) == 1
 
 
 def test_compute_tsv_fields(capsys, trio_file):

@@ -74,6 +74,20 @@ def test_corrupted_funnel_is_caught(monkeypatch):
     assert not report.ok
 
 
+def test_funnel_bound_runs_once_per_set(monkeypatch):
+    # One reference funnel each for P, its time reversal and its flip.
+    calls = []
+    real = bstbounds.funnel.funnel_bound
+
+    def counting(P):
+        calls.append(P)
+        return real(P)
+
+    monkeypatch.setattr(bstbounds.funnel, "funnel_bound", counting)
+    assert run_checks(TRIO, level="full").ok
+    assert len(calls) == 3
+
+
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_checks(TRIO, level="thorough")
