@@ -56,11 +56,17 @@ class BoundReport:
 
 
 def compute_bounds(
-    P: PointSet, bounds: Sequence[str], tree_spec: str = "balanced"
+    P: PointSet,
+    bounds: Sequence[str],
+    tree_spec: str = "balanced",
+    sweeps: Optional[dict[str, sweep.SweepOutput]] = None,
 ) -> BoundReport:
     """Evaluate the requested bounds; all values come straight from the
     library calls, timed individually.  ``alt-opt`` and ``--tree opt``
-    share one ``alt_opt`` run, charged to whichever asks first."""
+    share one ``alt_opt`` run, charged to whichever asks first.  When
+    ``sweeps`` is given, the output of each ``irb-up``/``irb-down``
+    sweep is stored in it under the bound's name, so that a caller can
+    write it out without sweeping again."""
     best_tree = functools.cache(lambda: alternation.alt_opt(P))
     entries = []
     for name in bounds:
@@ -79,10 +85,13 @@ def compute_bounds(
             value = funnel.funnel_bound_fast(P)
         elif name == "zrects":
             value = zrect.zrects(P).count
-        elif name == "irb-up":
-            value = sweep.irb_up(P)
-        elif name == "irb-down":
-            value = sweep.irb_down(P)
+        elif name in ("irb-up", "irb-down"):
+            run = sweep.sweep_add_up if name == "irb-up" else sweep.sweep_add_down
+            if sweeps is None:  # hold no sweep past its own count
+                value = len(run(P).added)
+            else:
+                sweeps[name] = run(P)
+                value = len(sweeps[name].added)
         else:
             raise ValueError(f"unknown bound {name!r}; valid: {', '.join(BOUND_NAMES)}")
         millis = (time.perf_counter() - start) * 1000.0
@@ -198,16 +207,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     for b in bounds:
         if b not in BOUND_NAMES:
             raise UsageError(f"unknown bound {b!r}; valid: {', '.join(BOUND_NAMES)}")
-    report = compute_bounds(P, bounds, args.tree)
+    sweeps: Optional[dict[str, sweep.SweepOutput]] = None
     if args.sweep_to:
         directions = [b for b in bounds if b in ("irb-up", "irb-down")]
         if len(directions) != 1:
             raise UsageError("--sweep-to needs exactly one of irb-up/irb-down")
-        out = (
-            sweep.sweep_add_up(P)
-            if directions[0] == "irb-up"
-            else sweep.sweep_add_down(P)
-        )
+        sweeps = {}
+    report = compute_bounds(P, bounds, args.tree, sweeps)
+    if sweeps is not None:
+        out = sweeps[directions[0]]
         types = sweep.classify_added(P, out) if out.direction == "up" else None
         with open(args.sweep_to, "w", encoding="utf-8") as fh:
             fh.write(sweep.serialize_sweep(out, types))

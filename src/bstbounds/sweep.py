@@ -10,14 +10,27 @@ half mirrors it with lower-right partners and upper-right corners.
 
 Corners created while handling one access only enter the set after all
 of that access's partners have been gathered.
+
+The kernel works on column ranks and keeps one number per column: the
+time of the highest point in it (0 while it is empty).  Only that point
+can be a partner, since it blocks every lower point of its column.  The
+partners of an access in column r are therefore the chain of columns
+met walking left from r whose top is strictly higher than every top
+passed so far.  After the step the access's column and every partner
+column hold a point at the current time, the largest time yet.  The
+tops sit in a max segment tree: each partner is one descent ("rightmost
+column left of c whose top exceeds v") and each write stops climbing at
+the first node that already holds the current time, so a sweep costs
+O((m + added) * log m) for m accesses.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Point, PointSet, hflip, require_distinct_xy
+from .geometry import Point, PointSet, require_distinct_xy
 from .zrect import zrects
 
 
@@ -43,57 +56,63 @@ class SweepOutput:
         return frozenset(a.point for a in self.added)
 
 
-def _sweep_up(points: list[Point]) -> list[AddedPoint]:
-    """Core up-sweep on accesses sorted by ascending y."""
-    current: list[Point] = []  # grows in nondecreasing y
-    added: list[AddedPoint] = []
-    seen: set[Point] = set()
-    for px, py in points:
-        partners: list[Point] = []
-        hi: int | None = None
-        i = len(current) - 1
-        while i >= 0:
-            gy = current[i][1]
-            gbest: int | None = None
-            while i >= 0 and current[i][1] == gy:
-                qx = current[i][0]
-                if qx < px and (gbest is None or qx > gbest):
-                    gbest = qx
-                i -= 1
-            if gbest is not None and (hi is None or gbest > hi):
-                partners.append((gbest, gy))
-                hi = gbest
-                if hi == px - 1:
-                    break  # no key fits strictly between any more
-        step: list[AddedPoint] = []
-        for qx, qy in partners:
-            corner = (qx, py)
-            if corner not in seen:
-                seen.add(corner)
-                step.append(AddedPoint(qx, py, (px, py)))
-        added.extend(step)
-        current.append((px, py))
-        current.extend(a.point for a in step)
+def _sweep_up(cols: list[int]) -> list[tuple[int, int]]:
+    """Up-sweep over column ranks 0..m-1 in time order (distinct).
+
+    Returns one ``(column, time index)`` pair per added corner, grouped
+    by access in time order and, within an access, in descending y of
+    the partner, which is ascending column.
+    """
+    size = 1 << max(len(cols) - 1, 0).bit_length()
+    top = [0] * (2 * size)  # max over the node's columns; leaves at size + col
+    added: list[tuple[int, int]] = []
+    for t, r in enumerate(cols):
+        now = t + 1
+        chain: list[int] = []  # partner columns, walking left from r
+        i, v = size + r, 0
+        while i > 1:
+            if i & 1 and top[i - 1] > v:
+                i -= 1  # the left sibling holds the nearest higher top
+                while i < size:
+                    i = 2 * i + 1 if top[2 * i + 1] > v else 2 * i
+                chain.append(i - size)
+                v = top[i]
+            else:
+                i >>= 1
+        added.extend((c, t) for c in reversed(chain))
+        chain.append(r)
+        for c in chain:
+            i = size + c
+            while i and top[i] < now:
+                top[i] = now
+                i >>= 1
     return added
+
+
+def _sweep(P: PointSet, mirrored: bool) -> tuple[AddedPoint, ...]:
+    # Descending keys give the mirrored ranks m-1-r, and map them back.
+    pts = P.by_y
+    keys = sorted((x for x, _ in pts), reverse=mirrored)
+    rank = {x: i for i, x in enumerate(keys)}
+    return tuple(
+        AddedPoint(keys[c], pts[t][1], pts[t])
+        for c, t in _sweep_up([rank[x] for x, _ in pts])
+    )
 
 
 def sweep_add_up(P: PointSet) -> SweepOutput:
     require_distinct_xy(P, "sweep_add_up")
-    return SweepOutput(P, tuple(_sweep_up(P.by_y)), "up")
+    return SweepOutput(P, _sweep(P, mirrored=False), "up")
 
 
 def sweep_add_down(P: PointSet) -> SweepOutput:
     """Mirror sweep: partners to the lower right, upper-right corners.
 
-    Runs the up-sweep on the horizontally flipped set and flips the
-    results back.
+    Runs the up-sweep kernel on mirrored column ranks and maps the
+    columns back to keys.
     """
     require_distinct_xy(P, "sweep_add_down")
-    flipped = _sweep_up(hflip(P).by_y)
-    added = tuple(
-        AddedPoint(-a.x, a.y, (-a.source[0], a.source[1])) for a in flipped
-    )
-    return SweepOutput(P, added, "down")
+    return SweepOutput(P, _sweep(P, mirrored=True), "down")
 
 
 def irb_up(P: PointSet) -> int:
@@ -145,22 +164,24 @@ def classify_added(P: PointSet, out: SweepOutput) -> list[AddedPointType]:
         raise ValueError("classify_added: sweep output does not belong to P")
     pts = [a.point for a in out.added]
     max_x_at_y: dict[int, int] = {}
-    max_y_at_x: dict[int, int] = {}
+    ys_at_x: dict[int, list[int]] = {}
     for x, y in pts:
         max_x_at_y[y] = max(max_x_at_y.get(y, x), x)
-        max_y_at_x[x] = max(max_y_at_x.get(x, y), y)
+        ys_at_x.setdefault(x, []).append(y)
+    for ys in ys_at_x.values():
+        ys.sort()
     access_by_y = {y: (x, y) for x, y in P}
     tops: set[Point] | None = None  # computed lazily, only when needed
 
     result: list[AddedPointType] = []
     for x, y in pts:
+        column = ys_at_x[x]
         is_a = max_x_at_y[y] == x
-        is_b = max_y_at_x[x] == y
+        is_b = column[-1] == y
         witness: Point | None = None
         if not is_a and not is_b:
-            above = [ay for ax, ay in pts if ax == x and ay > y]
-            r_y = min(above)  # nonempty: the point is not highest in column
-            d = access_by_y.get(r_y)
+            # the lowest added point above; it exists, as y is not highest
+            d = access_by_y.get(column[bisect_right(column, y)])
             if tops is None:
                 tops = {w.top for w in zrects(P).witnesses}
             if d is None or d not in tops:

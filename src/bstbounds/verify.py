@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import alternation, funnel, sweep, zrect
-from .geometry import PointSet, hflip, rotate90, time_reverse
+from .geometry import Point, PointSet, hflip, rotate90, time_reverse
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -155,18 +155,18 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
 def _remark_holds(P: PointSet, up: sweep.SweepOutput) -> bool:
     # Each added point pairs the access below it in its column with the
     # access in its row; the former must lie in the left funnel of the
-    # latter.
+    # latter.  Keys are distinct here, so each column holds one access,
+    # and the reference funnel is built once per row.
+    access_by_x = dict(P)
     access_by_y = {y: (x, y) for x, y in P}
+    left_funnels: dict[int, set[Point]] = {}
     for added in up.added:
-        below = [
-            (x, y) for x, y in P if x == added.x and y < added.y
-        ]
-        if not below:
-            return False
-        a = max(below, key=lambda p: p[1])
+        below_y = access_by_x.get(added.x)
         b = access_by_y.get(added.y)
-        if b is None:
+        if below_y is None or below_y >= added.y or b is None:
             return False
-        if a not in funnel.funnel_of(P, b).left:
+        if added.y not in left_funnels:
+            left_funnels[added.y] = set(funnel.funnel_of(P, b).left)
+        if (added.x, below_y) not in left_funnels[added.y]:
             return False
     return True

@@ -7,7 +7,7 @@ import random
 from hypothesis import strategies as st
 
 import bstbounds as bb
-from bstbounds.geometry import Point, PointSet
+from bstbounds.geometry import Point, PointSet, hflip
 from bstbounds.mixing import merged_blocks
 
 # Trace with a repeated key; its alternation value for the five-leaf
@@ -204,3 +204,71 @@ def alt_opt_merged_table(P: PointSet) -> bb.AltWitness:
         return (build(i, k), build(k + 1, j))
 
     return bb.AltWitness(value[0][n - 1], build(0, n - 1))
+
+
+def sweep_up_rescan(P: PointSet) -> tuple[bb.AddedPoint, ...]:
+    """Up-sweep that rescans the whole current set for every access,
+    kept as an oracle for ``sweep_add_up``.
+
+    Walks the current points (accesses and added corners) backwards,
+    one row at a time; the rightmost point left of the access in a row
+    is a partner when it lies right of every partner found above it.
+    Emits the partners of one access in that order: descending y.
+    """
+    current: list[Point] = []  # grows in nondecreasing y
+    added: list[bb.AddedPoint] = []
+    seen: set[Point] = set()
+    for px, py in P.by_y:
+        partners: list[Point] = []
+        hi: int | None = None
+        i = len(current) - 1
+        while i >= 0:
+            gy = current[i][1]
+            gbest: int | None = None
+            while i >= 0 and current[i][1] == gy:
+                qx = current[i][0]
+                if qx < px and (gbest is None or qx > gbest):
+                    gbest = qx
+                i -= 1
+            if gbest is not None and (hi is None or gbest > hi):
+                partners.append((gbest, gy))
+                hi = gbest
+                if hi == px - 1:
+                    break  # no key fits strictly between any more
+        step: list[bb.AddedPoint] = []
+        for qx, qy in partners:
+            corner = (qx, py)
+            if corner not in seen:
+                seen.add(corner)
+                step.append(bb.AddedPoint(qx, py, (px, py)))
+        added.extend(step)
+        current.append((px, py))
+        current.extend(a.point for a in step)
+    return tuple(added)
+
+
+def sweep_down_rescan(P: PointSet) -> tuple[bb.AddedPoint, ...]:
+    """Oracle for ``sweep_add_down``: the rescan on the mirrored set,
+    mirrored back."""
+    return tuple(
+        bb.AddedPoint(-a.x, a.y, (-a.source[0], a.source[1]))
+        for a in sweep_up_rescan(hflip(P))
+    )
+
+
+def classify_added_scan(P: PointSet, out) -> list[tuple[Point, str, Point | None]]:
+    """Per-point scan of every added point, kept as an oracle for
+    ``classify_added``: (point, labels, z-rectangle top) per added
+    point, in sweep order."""
+    pts = [a.point for a in out.added]
+    access_by_y = {y: (x, y) for x, y in P}
+    result = []
+    for x, y in pts:
+        is_a = max(px for px, py in pts if py == y) == x
+        is_b = max(py for px, py in pts if px == x) == y
+        top = None
+        if not (is_a or is_b):
+            top = access_by_y.get(min(ay for ax, ay in pts if ax == x and ay > y))
+        labels = "a" * is_a + "b" * is_b + "c" * (top is not None)
+        result.append(((x, y), labels, top))
+    return result

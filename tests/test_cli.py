@@ -5,6 +5,7 @@ import pytest
 import bstbounds as bb
 import bstbounds.alternation
 import bstbounds.funnel
+import bstbounds.sweep
 from bstbounds.cli import compute_bounds, load_pointset, main
 from bstbounds.geometry import from_trace, parse_pointset, serialize_pointset
 
@@ -278,6 +279,30 @@ def test_sweep_to_needs_exactly_one_direction(capsys, sweep_file, tmp_path):
     )
     assert code == 2
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize(
+    "bound, kernel", [("irb-up", "sweep_add_up"), ("irb-down", "sweep_add_down")]
+)
+def test_sweep_runs_once_for_sweep_to(capsys, sweep_file, tmp_path, monkeypatch, bound, kernel):
+    calls = []
+    real = getattr(bstbounds.sweep, kernel)
+
+    def counting(P):
+        calls.append(P)
+        return real(P)
+
+    monkeypatch.setattr(bstbounds.sweep, kernel, counting)
+    dest = tmp_path / "out.sweep"
+    code, out, _ = run(
+        capsys, "compute", sweep_file, "--bounds", f"funnel,{bound}", "--sweep-to", str(dest)
+    )
+    assert code == 0
+    assert len(calls) == 1
+    expected = real(SWEEP_SET)
+    types = bb.classify_added(SWEEP_SET, expected) if bound == "irb-up" else None
+    assert dest.read_text() == bb.serialize_sweep(expected, types)
+    assert f"{bound}\t{len(expected.added)}\n" in out
 
 
 def test_gen_reps_only_for_separation(capsys):

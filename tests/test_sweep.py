@@ -1,8 +1,11 @@
+import random
+
 import pytest
+from hypothesis import given, settings
 
 import bstbounds as bb
 from bstbounds.funnel import funnel_of
-from bstbounds.geometry import PointSet, from_trace, hflip
+from bstbounds.geometry import PointSet, from_trace, hflip, rotate90
 from bstbounds.sweep import (
     ClassificationError,
     classify_added,
@@ -19,7 +22,11 @@ from conftest import (
     SWEEP_LABELS,
     SWEEP_SET,
     SWEEP_UP_ADDED,
+    classify_added_scan,
+    point_sets,
     seeded_perms,
+    sweep_down_rescan,
+    sweep_up_rescan,
 )
 
 
@@ -147,3 +154,48 @@ def test_serialize_sweep():
     assert text == "A 1 1\n+ 1 2 ab\nA 2 2\n+ 2 3 ab\nA 3 3\n"
     bare = serialize_sweep(out)
     assert bare == "A 1 1\n+ 1 2\nA 2 2\n+ 2 3\nA 3 3\n"
+
+
+def assert_sweeps_match_rescan(P):
+    assert sweep_add_up(P).added == sweep_up_rescan(P)
+    assert sweep_add_down(P).added == sweep_down_rescan(P)
+
+
+def sparse_sets(count, max_m, seed):
+    """Distinct-xy sets with sparse, partly negative coordinates."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(0, max_m)
+        xs = rng.sample(range(-10**6, 10**6), m)
+        ys = rng.sample(range(-10**6, 10**6), m)
+        yield PointSet(zip(xs, ys))
+
+
+def test_sweeps_match_rescan_oracle_on_permutations():
+    for P in seeded_perms(40, 300, seed=313, min_n=100):
+        assert_sweeps_match_rescan(P)
+    for P in seeded_perms(300, 12, seed=314):
+        assert_sweeps_match_rescan(P)
+
+
+def test_sweeps_match_rescan_oracle_on_sparse_and_transformed_sets():
+    for P in sparse_sets(60, 120, seed=515):
+        for Q in (P, rotate90(P), rotate90(rotate90(P)), hflip(P), hflip(rotate90(P))):
+            assert_sweeps_match_rescan(Q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets(max_size=16, distinct_x=True))
+def test_sweeps_match_rescan_oracle_on_random_sets(P):
+    for Q in (P, rotate90(P), hflip(P)):
+        assert_sweeps_match_rescan(Q)
+
+
+def test_classification_matches_per_point_scan():
+    charged = 0
+    for P in seeded_perms(40, 200, seed=616):
+        out = sweep_add_up(P)
+        types = [(t.point, t.labels, t.zrect_top) for t in classify_added(P, out)]
+        assert types == classify_added_scan(P, out)
+        charged += sum(top is not None for _, _, top in types)
+    assert charged > 1000
