@@ -9,12 +9,15 @@ form writes a leaf as ``<key>`` and an internal node as
 The bound charges, at every internal node, the number of times the trace
 switches between accessing keys of the left and of the right subtree,
 and recurses into both sides.
+
+Every tree walk here keeps its own stack instead of recursing, so a
+reference tree may be as deep as it has keys (a caterpillar).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .geometry import PointSet, require_distinct_y
 
@@ -28,10 +31,34 @@ class AltWitness(NamedTuple):
 
 def tree_leaves(tree: Tree) -> list[int]:
     """Leaf keys in left-to-right order."""
-    if isinstance(tree, int):
-        return [tree]
-    left, right = tree
-    return tree_leaves(left) + tree_leaves(right)
+    leaves: list[int] = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, int):
+            leaves.append(node)
+        else:
+            stack.append(node[1])
+            stack.append(node[0])
+    return leaves
+
+
+def _build_tree(keys: Sequence[int], split: Callable[[int, int], int]) -> Tree:
+    """Tree over keys[0..n-1] whose node for keys[i..j] has keys[i..k] on
+    its left, with k = split(i, j); split is called in pre-order."""
+    built: list[Tree] = []
+    stack = [(0, len(keys) - 1, False)]
+    while stack:
+        i, j, children_built = stack.pop()
+        if i == j:
+            built.append(keys[i])
+        elif children_built:
+            right = built.pop()
+            built.append((built.pop(), right))
+        else:
+            k = split(i, j)
+            stack += ((i, j, True), (k + 1, j, False), (i, k, False))
+    return built[0]
 
 
 def balanced_tree(keys: Sequence[int]) -> Tree:
@@ -41,51 +68,53 @@ def balanced_tree(keys: Sequence[int]) -> Tree:
         raise ValueError("balanced_tree: need at least one key")
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise ValueError("balanced_tree: keys must be strictly increasing")
-
-    def build(lo: int, hi: int) -> Tree:
-        if lo == hi:
-            return keys[lo]
-        mid = lo + (hi - lo + 2) // 2  # the left side takes ceil(k/2) keys
-        return (build(lo, mid - 1), build(mid, hi))
-
-    return build(0, len(keys) - 1)
+    return _build_tree(keys, lambda i, j: (i + j) // 2)
 
 
 def format_tree(tree: Tree) -> str:
-    if isinstance(tree, int):
-        return str(tree)
-    left, right = tree
-    return f"({format_tree(left)} {format_tree(right)})"
+    parts: list[str] = []
+    stack: list[Union[Tree, str]] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+        elif isinstance(node, int):
+            parts.append(str(node))
+        else:
+            stack += (")", node[1], " ", node[0], "(")
+    return "".join(parts)
 
 
 def parse_tree(text: str) -> Tree:
     """Parse the parenthesized tree format."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse() -> Tree:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("parse_tree: unexpected end of input")
-        tok = tokens[pos]
-        pos += 1
+    open_nodes: list[list[Tree]] = []  # children read so far, per open '('
+    tree: Tree | None = None
+    for tok in tokens:
+        if tree is not None:
+            raise ValueError("parse_tree: trailing input")
+        if open_nodes and len(open_nodes[-1]) == 2 and tok != ")":
+            raise ValueError("parse_tree: expected ')'")
         if tok == "(":
-            left = parse()
-            right = parse()
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise ValueError("parse_tree: expected ')'")
-            pos += 1
-            return (left, right)
+            open_nodes.append([])
+            continue
         if tok == ")":
-            raise ValueError("parse_tree: unexpected ')'")
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"parse_tree: bad token {tok!r}") from None
-
-    tree = parse()
-    if pos != len(tokens):
-        raise ValueError("parse_tree: trailing input")
+            if not open_nodes or len(open_nodes[-1]) != 2:
+                raise ValueError("parse_tree: unexpected ')'")
+            node: Tree = tuple(open_nodes.pop())
+        else:
+            try:
+                node = int(tok)
+            except ValueError:
+                raise ValueError(f"parse_tree: bad token {tok!r}") from None
+        if open_nodes:
+            open_nodes[-1].append(node)
+        else:
+            tree = node
+    if open_nodes and len(open_nodes[-1]) == 2:
+        raise ValueError("parse_tree: expected ')'")
+    if tree is None:
+        raise ValueError("parse_tree: unexpected end of input")
     return tree
 
 
@@ -93,7 +122,7 @@ def _check_tree_keys(P: PointSet, tree: Tree, op: str) -> list[int]:
     leaves = tree_leaves(tree)
     if any(a >= b for a, b in zip(leaves, leaves[1:])):
         raise ValueError(f"{op}: leaf keys must be strictly increasing")
-    keys = sorted({x for x, _ in P})
+    keys = list(P.keys)
     if leaves != keys:
         raise ValueError(
             f"{op}: tree leaves {leaves} do not match the distinct keys {keys}"
@@ -108,26 +137,24 @@ def alt_bound(P: PointSet, tree: Tree) -> int:
     """
     require_distinct_y(P, "alt_bound")
     _check_tree_keys(P, tree, "alt_bound")
-    xs_by_time = [x for x, _ in P.by_y]
-    return _alt_rec(tree, xs_by_time)
-
-
-def _alt_rec(tree: Tree, xs: list[int]) -> int:
-    if isinstance(tree, int) or not xs:
-        return 0
-    left, right = tree
-    boundary = _max_leaf(left)
-    ls = [x for x in xs if x <= boundary]
-    rs = [x for x in xs if x > boundary]
-    # Switch count along time order == mix_value of the two y-sets.
-    a = 0
-    last = 0
-    for x in xs:
-        side = 1 if x <= boundary else 2
-        if side != last:
-            a += 1
-            last = side
-    return a + _alt_rec(left, ls) + _alt_rec(right, rs)
+    total = 0
+    stack = [(tree, [x for x, _ in P.by_y])]
+    while stack:
+        node, xs = stack.pop()
+        if isinstance(node, int) or not xs:
+            continue
+        left, right = node
+        boundary = _max_leaf(left)
+        # Switch count along time order == mix_value of the two y-sets.
+        last = 0
+        for x in xs:
+            side = 1 if x <= boundary else 2
+            if side != last:
+                total += 1
+                last = side
+        stack.append((left, [x for x in xs if x <= boundary]))
+        stack.append((right, [x for x in xs if x > boundary]))
+    return total
 
 
 def _max_leaf(tree: Tree) -> int:
@@ -157,7 +184,7 @@ def alt_opt(P: PointSet) -> AltWitness:
     require_distinct_y(P, "alt_opt")
     if not len(P):
         raise ValueError("alt_opt: empty point set")
-    keys = sorted({x for x, _ in P})
+    keys = P.keys
     n = len(keys)
     index = {k: i for i, k in enumerate(keys)}
     ranks = [index[x] for x, _ in P.by_y]
@@ -188,13 +215,7 @@ def alt_opt(P: PointSet) -> AltWitness:
             value[i][j] = best
             split[i][j] = best_k
 
-    def build(i: int, j: int) -> Tree:
-        if i == j:
-            return keys[i]
-        k = split[i][j]
-        return (build(i, k), build(k + 1, j))
-
-    return AltWitness(value[0][n - 1], build(0, n - 1))
+    return AltWitness(value[0][n - 1], _build_tree(keys, lambda i, j: split[i][j]))
 
 
 def enumerate_trees(keys: Sequence[int]) -> Iterator[Tree]:
@@ -220,10 +241,8 @@ def random_tree(keys: Sequence[int], rng: random.Random) -> Tree:
     keys = list(keys)
     if not keys:
         raise ValueError("random_tree: need at least one key")
-    if len(keys) == 1:
-        return keys[0]
-    k = rng.randrange(1, len(keys))
-    return (random_tree(keys[:k], rng), random_tree(keys[k:], rng))
+    # The left side takes randrange(1, size) keys, drawn in pre-order.
+    return _build_tree(keys, lambda i, j: i + rng.randrange(1, j - i + 1) - 1)
 
 
 def alt_brute(P: PointSet, max_keys: int = 10) -> AltWitness:
@@ -231,7 +250,7 @@ def alt_brute(P: PointSet, max_keys: int = 10) -> AltWitness:
     require_distinct_y(P, "alt_brute")
     if not len(P):
         raise ValueError("alt_brute: empty point set")
-    keys = sorted({x for x, _ in P})
+    keys = P.keys
     if len(keys) > max_keys:
         raise ValueError(
             f"alt_brute: {len(keys)} distinct keys exceeds the cap of {max_keys}"

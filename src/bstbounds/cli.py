@@ -5,8 +5,8 @@ Subcommands: ``compute`` (evaluate bounds on a trace or point set),
 a point set), ``verify`` (run the exact cross-check suite).
 
 Exit codes: 0 on success, 1 when a check fails or an input is refused
-(e.g. repeated keys for z-rectangle counting, or a reference tree too
-deep for the recursive tree walks), 2 on usage or parse errors.
+(e.g. repeated keys for z-rectangle counting), 2 on usage or parse
+errors.
 Output is tab-separated, one record per line; lines starting with
 ``#`` are commentary.
 """
@@ -102,9 +102,8 @@ def compute_bounds(
 def _resolve_tree(
     P: PointSet, spec: str, best_tree: Callable[[], alternation.AltWitness]
 ) -> tuple[alternation.Tree, str]:
-    keys = sorted({x for x, _ in P})
     if spec == "balanced":
-        return alternation.balanced_tree(keys), "balanced"
+        return alternation.balanced_tree(P.keys), "balanced"
     if spec == "opt":
         return best_tree().tree, "opt"
     if spec.startswith("@"):
@@ -120,31 +119,56 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _detect_format(text: str) -> str:
-    widths = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        width = len(stripped.split())
-        if width not in (1, 2):
-            raise ParseError(f"expected 1 or 2 fields, got {stripped!r}", lineno)
-        widths.add(width)
-        if len(widths) > 1:
-            raise ParseError("mixed trace and point-set lines", lineno)
-    if not widths or widths == {1}:
+def _line_format(line: str, lineno: int) -> str:
+    width = len(line.split())
+    if width == 1:
         return "trace"
-    return "pointset"
+    if width == 2:
+        return "pointset"
+    raise ParseError(f"expected 1 or 2 fields, got {line.strip()!r}", lineno)
+
+
+def _detect_format(text: str) -> str:
+    """The format of the first data line; an input without one is a trace.
+
+    Only a prefix of the text is split into lines, grown until it holds
+    a data line.  Its last line may be cut short (or end in the '\\r' of
+    a '\\r\\n'), so it is looked at only when the prefix is the whole text.
+    """
+    size = 4096
+    while True:
+        head = text[:size]
+        whole = len(head) == len(text)
+        lines = head.splitlines()
+        for lineno, line in enumerate(lines if whole else lines[:-1], start=1):
+            stripped = line.lstrip()
+            if stripped and not stripped.startswith("#"):
+                return _line_format(stripped, lineno)
+        if whole:
+            return "trace"
+        size *= 4
 
 
 def load_pointset(path: str, fmt: str = "auto") -> PointSet:
+    """Read, parse and build the input in one pass of the chosen parser.
+
+    With ``fmt="auto"`` the first data line fixes the format, and a later
+    line that the parser refuses is reported as a mixed input when it has
+    the other format's width.
+    """
     text = _read_input(path)
-    if fmt == "auto":
-        fmt = _detect_format(text)
-    if fmt == "trace":
-        return from_trace(parse_trace(text))
-    if fmt == "pointset":
-        return parse_pointset(text)
+    chosen = _detect_format(text) if fmt == "auto" else fmt
+    try:
+        if chosen == "trace":
+            return from_trace(parse_trace(text))
+        if chosen == "pointset":
+            return parse_pointset(text)
+    except ParseError as exc:
+        if fmt == "auto":
+            bad_line = text.splitlines()[exc.line - 1]
+            if _line_format(bad_line, exc.line) != chosen:
+                raise ParseError("mixed trace and point-set lines", exc.line) from None
+        raise
     raise ValueError(f"unknown input format {fmt!r}")
 
 
@@ -286,9 +310,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except (ValueError, sweep.ClassificationError) as exc:
         print(f"bstbounds: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError as exc:
-        print(f"bstbounds: reference tree too deep ({exc})", file=sys.stderr)
         return 1
 
 

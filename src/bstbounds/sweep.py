@@ -92,7 +92,7 @@ def _sweep_up(cols: list[int]) -> list[tuple[int, int]]:
 def _sweep(P: PointSet, mirrored: bool) -> tuple[AddedPoint, ...]:
     # Descending keys give the mirrored ranks m-1-r, and map them back.
     pts = P.by_y
-    keys = sorted((x for x, _ in pts), reverse=mirrored)
+    keys = P.keys[::-1] if mirrored else P.keys
     rank = {x: i for i, x in enumerate(keys)}
     return tuple(
         AddedPoint(keys[c], pts[t][1], pts[t])

@@ -61,7 +61,7 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     fb = funnel.funnel_bound(P)
     fb_rev = funnel.funnel_bound(time_reverse(P))
     m = len(P)
-    keys = sorted({x for x, _ in P})
+    keys = P.keys
     n = len(keys)
 
     # Two-sided domination: funnel(P) + funnel(rev P) >= alt_T(P) for
@@ -157,7 +157,7 @@ def _remark_holds(P: PointSet, up: sweep.SweepOutput) -> bool:
     # access in its row; the former must lie in the left funnel of the
     # latter.  Keys are distinct here, so each column holds one access,
     # and the reference funnel is built once per row.
-    access_by_x = dict(P)
+    access_by_x = {x: y for x, y in P}
     access_by_y = {y: (x, y) for x, y in P}
     left_funnels: dict[int, set[Point]] = {}
     for added in up.added:

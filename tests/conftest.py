@@ -62,6 +62,12 @@ WORKED_EXAMPLES = [
 ]
 
 
+def pointset_of_trace(keys: list[int]) -> PointSet:
+    """The frozenset construction of a trace's point set, kept as an
+    oracle for ``from_trace``, which stores the points in time order."""
+    return PointSet((x, i) for i, x in enumerate(keys, start=1))
+
+
 def perm_pointset(n: int, seed: int) -> PointSet:
     return bb.from_trace(bb.random_permutation(n, seed))
 
@@ -272,3 +278,44 @@ def classify_added_scan(P: PointSet, out) -> list[tuple[Point, str, Point | None
         labels = "a" * is_a + "b" * is_b + "c" * (top is not None)
         result.append(((x, y), labels, top))
     return result
+
+
+def parse_tree_recursive(text: str) -> bb.Tree:
+    """Recursive-descent tree parser, kept as an oracle for the iterative
+    ``parse_tree``: same trees, same error for every malformed input."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    pos = 0
+
+    def parse() -> bb.Tree:
+        nonlocal pos
+        if pos >= len(tokens):
+            raise ValueError("parse_tree: unexpected end of input")
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            left = parse()
+            right = parse()
+            if pos >= len(tokens) or tokens[pos] != ")":
+                raise ValueError("parse_tree: expected ')'")
+            pos += 1
+            return (left, right)
+        if tok == ")":
+            raise ValueError("parse_tree: unexpected ')'")
+        try:
+            return int(tok)
+        except ValueError:
+            raise ValueError(f"parse_tree: bad token {tok!r}") from None
+
+    tree = parse()
+    if pos != len(tokens):
+        raise ValueError("parse_tree: trailing input")
+    return tree
+
+
+def random_tree_recursive(keys: list[int], rng: random.Random) -> bb.Tree:
+    """Recursive random split, kept as an oracle for the iterative
+    ``random_tree``: same draws in the same order, so the same tree."""
+    if len(keys) == 1:
+        return keys[0]
+    k = rng.randrange(1, len(keys))
+    return (random_tree_recursive(keys[:k], rng), random_tree_recursive(keys[k:], rng))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bstbounds as bb
 from bstbounds.alternation import (
@@ -22,7 +23,9 @@ from conftest import (
     SIX_TRACE,
     SIX_TREE_TEXT,
     alt_opt_merged_table,
+    parse_tree_recursive,
     perm_pointset,
+    random_tree_recursive,
     seeded_perms,
     traces,
 )
@@ -66,6 +69,55 @@ def test_tree_text_round_trip():
 def test_parse_tree_rejects(text):
     with pytest.raises(ValueError):
         parse_tree(text)
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(["(", ")", "1", "2", "-3", "+4", "x"]), max_size=12))
+def test_parse_tree_matches_recursive_oracle(tokens):
+    text = " ".join(tokens)
+    try:
+        expected = parse_tree_recursive(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            parse_tree(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert parse_tree(text) == expected
+
+
+class _EdgeSplit:
+    """Stands in for random.Random: every split puts one key on one side."""
+
+    def __init__(self, left_gets_one: bool):
+        self.left_gets_one = left_gets_one
+
+    def randrange(self, start: int, stop: int) -> int:
+        return start if self.left_gets_one else stop - 1
+
+
+@pytest.mark.parametrize("left_gets_one", [True, False])
+def test_tree_walks_take_a_deep_caterpillar(left_gets_one):
+    # Far deeper than the recursion limit; on the sequential trace every
+    # internal node sees exactly two runs.
+    n = 3000
+    keys = list(range(1, n + 1))
+    tree = random_tree(keys, _EdgeSplit(left_gets_one))
+    text = format_tree(tree)
+    expected = str(n if left_gets_one else 1)
+    for k in range(n - 1, 0, -1):
+        expected = f"({k} {expected})" if left_gets_one else f"({expected} {n - k + 1})"
+    assert text == expected
+    assert tree_leaves(tree) == keys
+    assert format_tree(parse_tree(text)) == text
+    assert alt_bound(from_trace(keys), tree) == 2 * (n - 1)
+
+
+def test_random_tree_matches_recursive_oracle():
+    for seed in range(200):
+        keys = list(range(seed % 30 + 1))
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        assert random_tree(keys, rng) == random_tree_recursive(keys, oracle_rng)
+        assert rng.random() == oracle_rng.random()
 
 
 def test_alt_worked_example():

@@ -1,3 +1,4 @@
+import functools
 import io
 
 import pytest
@@ -6,8 +7,15 @@ import bstbounds as bb
 import bstbounds.alternation
 import bstbounds.funnel
 import bstbounds.sweep
-from bstbounds.cli import compute_bounds, load_pointset, main
-from bstbounds.geometry import from_trace, parse_pointset, serialize_pointset
+from bstbounds import cli
+from bstbounds.cli import _detect_format, compute_bounds, load_pointset, main
+from bstbounds.geometry import (
+    ParseError,
+    PointSet,
+    from_trace,
+    parse_pointset,
+    serialize_pointset,
+)
 
 from conftest import (
     SIX_TRACE,
@@ -100,7 +108,9 @@ def test_alt_opt_runs_once_for_opt_tree(capsys, trace_file, monkeypatch):
     assert report.entries[0].value == report.entries[1].value
 
 
-def test_deep_reference_tree_is_refused_cleanly(capsys, tmp_path):
+def test_deep_reference_tree_is_evaluated(capsys, tmp_path):
+    # A 3000-leaf caterpillar nests deeper than Python's recursion limit;
+    # on the sequential trace every internal node sees two runs.
     n = 3000
     trace = tmp_path / "keys.txt"
     trace.write_text("".join(f"{k}\n" for k in range(1, n + 1)))
@@ -110,12 +120,11 @@ def test_deep_reference_tree_is_refused_cleanly(capsys, tmp_path):
     tree = tmp_path / "deep.tree"
     tree.write_text(caterpillar + "\n")
     code, out, err = run(
-        capsys, "compute", str(trace), "--bounds", "alt", "--tree", f"@{tree}"
+        capsys, "compute", str(trace), "--bounds", "alt", "--tree", f"@{tree}", "--tsv"
     )
-    assert code == 1
-    assert out == ""
-    assert err.startswith("bstbounds: reference tree too deep (")
-    assert len(err.splitlines()) == 1
+    assert (code, err) == (0, "")
+    name, value, _, source, text = out.rstrip("\n").split("\t")
+    assert (name, value, source, text) == ("alt", str(2 * (n - 1)), "file", caterpillar)
 
 
 def test_compute_tsv_fields(capsys, trio_file):
@@ -327,3 +336,98 @@ def test_load_pointset_detects_formats(tmp_path):
     e = tmp_path / "c.txt"
     e.write_text("# only comments\n")
     assert load_pointset(str(e)) == bb.PointSet()
+
+
+@pytest.mark.parametrize(
+    "data, expected",
+    [
+        (b"3\r\n1\r\n2\r\n", from_trace([3, 1, 2])),
+        (b"1 5\r\n2 6\r\n", PointSet([(1, 5), (2, 6)])),
+        (b"\t4\t\n 5 \n", from_trace([4, 5])),
+        (b"1\t2\n\t3 \t4\n", PointSet([(1, 2), (3, 4)])),
+        (b"  # c\n\t# d\n7\n   #e 1 2\n8\n", from_trace([7, 8])),
+        (b"\n\n  \n7\n8\n\n\t\n", from_trace([7, 8])),
+        (b"+7\n-3\n", from_trace([7, -3])),
+        (b"", PointSet()),
+        (b"  \n\n", PointSet()),
+    ],
+    ids=["crlf-trace", "crlf-points", "tabs-trace", "tabs-points", "comments",
+         "blank-lines", "signs", "empty", "only-blank"],
+)
+def test_load_pointset_edge_cases(tmp_path, data, expected):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    P = load_pointset(str(path))
+    assert P == expected
+    assert P.by_y == expected.by_y
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        ("1\nx\n", [], "line 2: not an integer: 'x'"),
+        ("1 2\n3 x\n", [], "line 2: not an integer pair: '3 x'"),
+        ("1\n2 3 4\n", [], "line 2: expected 1 or 2 fields, got '2 3 4'"),
+        ("# c\n1 2 3\n", [], "line 2: expected 1 or 2 fields, got '1 2 3'"),
+        ("1\n2\n3 4\n", [], "line 3: mixed trace and point-set lines"),
+        ("1 2\n3\n", [], "line 2: mixed trace and point-set lines"),
+        ("1 2\n", ["--format", "trace"], "line 1: expected one integer, got '1 2'"),
+        ("1\n", ["--format", "pointset"], "line 1: expected `<x> <y>`, got '1'"),
+        # Several faults: the earliest line is reported.
+        ("1\nx\n1 2 3\n", [], "line 2: not an integer: 'x'"),
+    ],
+    ids=["non-integer", "non-integer-pair", "three-fields", "three-fields-first",
+         "trace-then-points", "points-then-trace", "forced-trace", "forced-points",
+         "earliest-fault"],
+)
+def test_parse_errors_name_the_line(capsys, tmp_path, text, argv, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "compute", str(path), *argv)
+    assert (code, out) == (2, "")
+    assert err == f"bstbounds: parse error: {message}\n"
+
+
+def test_detect_format_reads_only_to_the_first_data_line():
+    # The first data line fixes the format even when later lines disagree.
+    assert _detect_format("# x\n\n5\n1 2\n") == "trace"
+    assert _detect_format("1 2\n5\n") == "pointset"
+    assert _detect_format("") == "trace"
+    # Data lines past the first split prefix, or cut by it.
+    assert _detect_format("#" * 5000 + "\n1 2\n") == "pointset"
+    assert _detect_format("1" * 5000 + " 2\n") == "pointset"
+    with pytest.raises(ParseError, match="line 5001: expected 1 or 2 fields"):
+        _detect_format("\n" * 5000 + "1 2 3\n")
+    # The first prefix ends inside a '\r\n'; lines are still numbered
+    # as the parsers number them.
+    with pytest.raises(ParseError, match="line 3001: expected 1 or 2 fields"):
+        _detect_format("#" + "\r\n" * 3000 + "1 2 3\n")
+
+
+def test_compute_on_a_trace_builds_no_frozenset_and_sorts_nothing(
+    capsys, trace_file, monkeypatch
+):
+    sorted_sets = []
+    real_sort = PointSet.by_y.func
+
+    def spying_sort(P):
+        sorted_sets.append(P)
+        return real_sort(P)
+
+    spy = functools.cached_property(spying_sort)
+    spy.__set_name__(PointSet, "by_y")
+    monkeypatch.setattr(PointSet, "by_y", spy)
+    loaded = []
+    real_compute = cli.compute_bounds
+
+    def capturing(P, *args):
+        loaded.append(P)
+        return real_compute(P, *args)
+
+    monkeypatch.setattr(cli, "compute_bounds", capturing)
+    code, out, _ = run(capsys, "compute", trace_file, "--bounds", "funnel,alt")
+    assert code == 0
+    assert out == "funnel\t8\nalt\t12\n"
+    (P,) = loaded
+    assert sorted_sets == []
+    assert "points" not in vars(P)

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import bstbounds as bb
 from bstbounds.geometry import (
@@ -15,7 +16,7 @@ from bstbounds.geometry import (
     time_reverse,
 )
 
-from conftest import point_sets
+from conftest import point_sets, pointset_of_trace
 
 
 def test_from_trace():
@@ -24,6 +25,36 @@ def test_from_trace():
     )
     assert from_trace([]) == PointSet()
     assert from_trace([7]) == PointSet([(7, 1)])
+
+
+@given(st.lists(st.integers(-6, 6), max_size=40))
+def test_from_trace_matches_frozenset_construction(keys):
+    # Each property is read first on a fresh time-ordered set, before
+    # anything has built its frozenset.
+    def fresh():
+        return from_trace(keys)
+
+    old = pointset_of_trace(keys)
+    assert len(fresh()) == len(old)
+    assert sorted(fresh()) == sorted(old)
+    assert fresh().by_y == old.by_y
+    assert fresh().keys == tuple(sorted(set(keys)))
+    assert fresh().has_distinct_x == old.has_distinct_x
+    assert fresh().has_distinct_y == old.has_distinct_y
+    assert serialize_pointset(fresh()) == serialize_pointset(old)
+    for op in (rotate90, hflip, time_reverse):
+        assert op(fresh()) == op(old)
+        assert op(fresh()).by_y == op(old).by_y
+    P = fresh()
+    len(P), list(P), P.by_y, P.keys, P.has_distinct_x, P.has_distinct_y
+    serialize_pointset(P), rotate90(P), hflip(P), time_reverse(P)
+    assert "points" not in vars(P)
+    assert fresh() == old and old == fresh()
+    assert hash(fresh()) == hash(old)
+    for p in old:
+        assert p in fresh()
+    for p in [(0, 0), (keys[0] if keys else 0, len(keys) + 1), (7, 1)]:
+        assert (p in fresh()) == (p in old)
 
 
 def test_from_trace_coordinate_flags():
