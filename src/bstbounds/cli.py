@@ -113,10 +113,18 @@ def _resolve_tree(
 
 
 def _read_input(path: str) -> str:
+    """The input as UTF-8 text; a bad byte is a parse error on its line."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        line = len((head + "?").splitlines())  # "?" stands for the bad byte
+        raise ParseError("not UTF-8 text", line) from None
 
 
 def _line_format(line: str, lineno: int) -> str:

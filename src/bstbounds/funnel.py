@@ -18,13 +18,15 @@ left subtree going to the left part and its right subtree to the right
 part.  ``funnel_bound_fast`` and ``zrect.zrects`` are thin wrappers
 over it.
 
-``funnel_bound`` is the definition scan, one backward walk per point;
-it stays as the oracle and as the independent computation that
-``verify`` compares against the z-rectangle count.
+``funnel_of`` is the one definition scan, a backward walk from one
+point; ``f_value`` and ``funnel_bound``, their sum, are the oracle and
+``verify``'s one independent funnel value.  Every other funnel value,
+per point or summed, comes from the kernel.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from .geometry import Point, PointSet, require_distinct_y
@@ -41,23 +43,24 @@ class FunnelView(NamedTuple):
 def funnel_of(P: PointSet, p: Point) -> FunnelView:
     """Exact left and right funnel of p within P.
 
-    One descending-y scan below p suffices: a point enters the left
-    funnel exactly when it raises the running maximum x seen on p's left
-    (symmetrically with the minimum on the right), and a point sharing
-    p's x blocks everything below it on both sides.
+    One descending-y scan from p's place in ``by_y`` suffices: a point
+    enters the left funnel exactly when it raises the running maximum x
+    seen on p's left (symmetrically with the minimum on the right), and
+    a point sharing p's x blocks everything below it on both sides.
     """
     require_distinct_y(P, "funnel_of")
-    if p not in P:
-        raise ValueError(f"funnel_of: {p} not in the point set")
+    by_y = P.by_y
     px, py = p
+    t = bisect_left(by_y, py, key=lambda q: q[1])
+    if t == len(by_y) or by_y[t] != p:
+        raise ValueError(f"funnel_of: {p} not in the point set")
     left: list[Point] = []
     right: list[Point] = []
     hi: int | None = None
     lo: int | None = None
-    for q in reversed(P.by_y):
-        qx, qy = q
-        if qy >= py:
-            continue
+    for u in range(t - 1, -1, -1):
+        q = by_y[u]
+        qx = q[0]
         if qx < px:
             if hi is None or qx > hi:
                 hi = qx
@@ -86,45 +89,11 @@ def f_value(P: PointSet, p: Point) -> int:
 def funnel_bound(P: PointSet) -> int:
     """Sum of per-point funnel alternation counts over all of P.
 
-    Quadratic reference scan; ``funnel_bound_fast`` is the fast path.
+    Quadratic reference, one ``f_value`` per point; ``funnel_bound_fast``
+    is the fast path.
     """
     require_distinct_y(P, "funnel_bound")
-    xs = [x for x, _ in P.by_y]
-    total = 0
-    for t in range(len(xs)):
-        px = xs[t]
-        hi_open = True  # an integer strictly between hi and px still exists
-        lo_open = True
-        hi = None
-        lo = None
-        runs = 0
-        last = 0
-        for u in range(t - 1, -1, -1):
-            qx = xs[u]
-            if qx < px:
-                if hi is None or qx > hi:
-                    hi = qx
-                    if last != 1:
-                        runs += 1
-                        last = 1
-                    if qx == px - 1:
-                        hi_open = False
-                        if not lo_open:
-                            break
-            elif qx > px:
-                if lo is None or qx < lo:
-                    lo = qx
-                    if last != 2:
-                        runs += 1
-                        last = 2
-                    if qx == px + 1:
-                        lo_open = False
-                        if not hi_open:
-                            break
-            else:
-                break  # same key: blocks both sides outright
-        total += runs
-    return total
+    return sum(f_value(P, p) for p in P.by_y)
 
 
 class _Node:
@@ -141,7 +110,9 @@ ZRectRoles = tuple[Point, Point, Point, Point]  # (top, left, bottom, right)
 
 
 def move_to_root(
-    points: Iterable[Point], zrects: list[ZRectRoles] | None = None
+    points: Iterable[Point],
+    zrects: list[ZRectRoles] | None = None,
+    runs_out: list[int] | None = None,
 ) -> int:
     """Funnel bound of time-ordered points, and optionally their z-rectangles.
 
@@ -158,6 +129,9 @@ def move_to_root(
     right-run on both sides, ``R L+ R`` on the path, appends one
     z-rectangle: top p, left the last L node of the run, bottom the R
     node ending it, right the last R node before it.
+
+    With ``runs_out`` given, each access's run count, its ``f_value``,
+    is appended to it in the order of ``points``.
     """
     root: _Node | None = None
     total = 0
@@ -215,6 +189,8 @@ def move_to_root(
         node.right = r_root
         root = node
         total += runs
+        if runs_out is not None:
+            runs_out.append(runs)
     return total
 
 

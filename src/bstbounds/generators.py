@@ -79,10 +79,16 @@ def separation_sequence(params: SeparationParams) -> list[int]:
     """Concatenation of repeated geometrically spaced blocks; keys in
     [1, n].  Every reference tree's alternation value stays linear on it
     while the funnel value does not."""
-    if params.length > _MAX_SEQUENCE_LEN:
+    # The length is at least n/2 = 2^(2^k - 1): over the cap once 2^k tops
+    # the cap's bit length.  Test k first, before n is built.
+    if (
+        params.k >= _MAX_SEQUENCE_LEN.bit_length().bit_length()
+        or params.length > _MAX_SEQUENCE_LEN
+    ):
+        reps = "" if params.reps is None else f", reps={params.reps}"
         raise ValueError(
-            f"separation_sequence: would need {params.length} accesses, "
-            f"over the cap of {_MAX_SEQUENCE_LEN}"
+            f"separation_sequence: k={params.k}{reps} needs more accesses "
+            f"than the cap of {_MAX_SEQUENCE_LEN}"
         )
     n = params.key_count
     reps = params.effective_reps

@@ -7,6 +7,10 @@ count, the reversal gap with explicit constant 3m, rotation and flip
 invariances, the sweep-count charge, and totality of the added-point
 classification.  Checks that need distinct keys are skipped (with a
 notice) when the input has repeated x-coordinates.
+
+The funnel's definition scan runs once, on the input itself, as the
+independent value; every other funnel value, per access or summed, comes
+from the move-to-root kernel, whose sum must equal it.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
         return report
 
     fb = funnel.funnel_bound(P)
-    fb_rev = funnel.funnel_bound(time_reverse(P))
+    fb_rev = funnel.funnel_bound_fast(time_reverse(P))
+    runs: list[int] = []
+    funnel.move_to_root(P.by_y, runs_out=runs)
     m = len(P)
     keys = P.keys
     n = len(keys)
@@ -86,16 +92,14 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
             break
     report.add("two-sided-domination", not bad, bad)
 
-    # Flip invariance holds pointwise, not just in the sum.
-    flipped = hflip(P)
-    pointwise = all(
-        funnel.f_value(P, (x, y)) == funnel.f_value(flipped, (-x, y)) for x, y in P
-    )
-    flipped_fb = funnel.funnel_bound(flipped)
+    # Flip invariance holds pointwise, not just in the sum; the kernel's
+    # sum must also equal the reference.  Flipping keeps the time order.
+    flipped_runs: list[int] = []
+    funnel.move_to_root(hflip(P).by_y, runs_out=flipped_runs)
     report.add(
         "funnel-hflip",
-        pointwise and fb == flipped_fb,
-        f"funnel {fb} vs flipped {flipped_fb}",
+        runs == flipped_runs and fb == sum(runs),
+        f"funnel {fb}, kernel {sum(runs)}, flipped kernel {sum(flipped_runs)}",
     )
 
     if not P.has_distinct_x:
@@ -109,7 +113,7 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     zr = zrect.zrects(P).count
     report.add("funnel-vs-zrects", fb >= 2 * zr, f"funnel {fb} < 2*{zr}")
 
-    per_point = sum(max(0, funnel.f_value(P, p) // 2 - 1) for p in P)
+    per_point = sum(max(0, r // 2 - 1) for r in runs)
     report.add(
         "zrects-per-point", zr >= per_point, f"zrects {zr} < per-point sum {per_point}"
     )

@@ -172,6 +172,32 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "duplicate y" in err
 
 
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"\xff\n1\n", 1),
+        (b"1\n2\n3\xe9\n", 3),
+        (b"# caf\xc3\xa9\n\r\n1\r\n\x80\n", 4),
+        (b"# caf\xc3\xa9\n1\n2\n", None),
+    ],
+)
+@pytest.mark.parametrize("stdin", [False, True])
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path, monkeypatch, data, line, stdin):
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        source = "-"
+    else:
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        source = str(path)
+    code, _, err = run(capsys, "compute", source, "--bounds", "funnel")
+    if line is None:  # valid UTF-8, non-ASCII only in a comment
+        assert code == 0
+    else:
+        assert code == 2
+        assert err == f"bstbounds: parse error: line {line}: not UTF-8 text\n"
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "compute", "/nonexistent/input.txt")
     assert code == 2
@@ -209,6 +235,20 @@ def test_gen_invalid_parameters(capsys):
     code, _, err = run(capsys, "gen", "separation", "4")
     assert code == 1
     assert "cap" in err
+    code, _, err = run(capsys, "gen", "separation", "1", "--reps", "0")
+    assert code == 1
+    assert "reps" in err
+
+
+def test_gen_separation_cap_is_checked_before_the_key_count(capsys):
+    # n = 2^(2^14) has about 4,900 digits; the guard must not build or
+    # print it.  Larger k is not tried: a broken guard would allocate.
+    code, out, err = run(capsys, "gen", "separation", "14")
+    assert (code, out) == (1, "")
+    assert err == (
+        "bstbounds: separation_sequence: k=14 needs more accesses "
+        "than the cap of 100000000\n"
+    )
 
 
 def test_transform_reverse(capsys, trio_file):
@@ -220,7 +260,7 @@ def test_transform_reverse(capsys, trio_file):
 def test_transform_rotate_four_times_is_identity(capsys, trio_file, tmp_path, monkeypatch):
     text = open(trio_file).read()
     for _ in range(4):
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         code = main(["transform", "rotate", "-"])
         assert code == 0
         text = capsys.readouterr().out

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 
 import bstbounds as bb
-from bstbounds.funnel import f_value, funnel_bound, funnel_bound_fast, funnel_of
+from bstbounds.funnel import (
+    f_value,
+    funnel_bound,
+    funnel_bound_fast,
+    funnel_of,
+    move_to_root,
+)
 from bstbounds.geometry import PointSet, from_trace, hflip, rotate90, time_reverse
 
 from conftest import (
@@ -41,8 +47,10 @@ def test_three_point_funnels():
 
 
 def test_funnel_of_requires_membership():
-    with pytest.raises(ValueError, match="not in"):
-        funnel_of(TRIO, (9, 9))
+    # (2, 2) and (3, 3) share a time with a point of TRIO but not its key.
+    for missing in ((9, 9), (0, 0), (2, 2), (3, 3), (2, 4)):
+        with pytest.raises(ValueError, match="not in"):
+            funnel_of(TRIO, missing)
 
 
 def test_funnel_bound_examples():
@@ -153,6 +161,38 @@ def test_fast_mode_matches_reference_on_rotated_sets(P):
 @given(point_sets(key_span=4))
 def test_fast_mode_matches_reference_on_repeated_x(P):
     assert funnel_bound_fast(P) == funnel_bound(P)
+
+
+def _assert_kernel_runs_are_point_values(P):
+    runs: list[int] = []
+    total = move_to_root(P.by_y, runs_out=runs)
+    assert runs == [f_value(P, p) for p in P.by_y]
+    assert total == sum(runs)
+
+
+def test_kernel_runs_worked_examples():
+    runs: list[int] = []
+    move_to_root(from_trace(FUNNEL_TRACE).by_y, runs_out=runs)
+    assert runs[FUNNEL_POINT[1] - 1] == 3
+    runs.clear()
+    move_to_root(TRIO.by_y, runs_out=runs)
+    assert runs == [0, 1, 2]
+
+
+@given(traces())
+def test_kernel_runs_match_point_values_on_repeated_keys(trace):
+    _assert_kernel_runs_are_point_values(from_trace(trace))
+
+
+@given(point_sets(key_span=4))
+def test_kernel_runs_match_point_values_on_point_sets(P):
+    _assert_kernel_runs_are_point_values(P)
+
+
+@given(point_sets(distinct_x=True))
+def test_kernel_runs_match_point_values_on_rotated_and_flipped_sets(P):
+    _assert_kernel_runs_are_point_values(rotate90(P))
+    _assert_kernel_runs_are_point_values(hflip(P))
 
 
 def test_funnel_requires_distinct_y():

@@ -75,17 +75,65 @@ def test_corrupted_funnel_is_caught(monkeypatch):
 
 
 def test_funnel_bound_runs_once_per_set(monkeypatch):
-    # One reference funnel each for P, its time reversal and its flip.
+    # One reference funnel, for P itself; the reverse and flipped funnels
+    # and every per-access value come from the move-to-root kernel.
     calls = []
+    point_calls = []
     real = bstbounds.funnel.funnel_bound
+    real_point = bstbounds.funnel.f_value
 
     def counting(P):
         calls.append(P)
         return real(P)
 
+    def counting_point(P, p):
+        point_calls.append(p)
+        return real_point(P, p)
+
     monkeypatch.setattr(bstbounds.funnel, "funnel_bound", counting)
+    monkeypatch.setattr(bstbounds.funnel, "f_value", counting_point)
     assert run_checks(TRIO, level="full").ok
-    assert len(calls) == 3
+    assert calls == [TRIO]
+    # Only the reference scan asks for point values, one per point.
+    assert sorted(point_calls) == sorted(TRIO)
+
+
+def test_kernel_off_by_one_fails_funnel_hflip(monkeypatch):
+    # Negative control: a kernel whose run count is one too high on a
+    # single access must break the reference == kernel sum check.
+    real = bstbounds.funnel.move_to_root
+
+    def off_by_one(points, zrects=None, runs_out=None):
+        total = real(points, zrects, runs_out)
+        if runs_out:
+            runs_out[-1] += 1
+            total += 1
+        return total
+
+    monkeypatch.setattr(bstbounds.funnel, "move_to_root", off_by_one)
+    P = perm_pointset(30, 7)
+    report = run_checks(P, level="quick")
+    assert _by_name(report)["funnel-hflip"].status == FAIL
+    assert not report.ok
+
+
+def test_kernel_pointwise_fault_fails_funnel_hflip(monkeypatch):
+    # A fault that keeps the sum but moves one run between accesses of P
+    # only is caught by the pointwise comparison with the flipped set.
+    real = bstbounds.funnel.move_to_root
+    P = perm_pointset(30, 7)
+
+    def shifted(points, zrects=None, runs_out=None):
+        points = list(points)
+        total = real(points, zrects, runs_out)
+        if runs_out and points == P.by_y:
+            runs_out[-1] += 1
+            runs_out[0] -= 1
+        return total
+
+    monkeypatch.setattr(bstbounds.funnel, "move_to_root", shifted)
+    report = run_checks(P, level="quick")
+    assert _by_name(report)["funnel-hflip"].status == FAIL
 
 
 def test_unknown_level_rejected():
