@@ -50,17 +50,12 @@ class BoundEntry:
     tree_text: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    entries: tuple[BoundEntry, ...]
-
-
 def compute_bounds(
     P: PointSet,
     bounds: Sequence[str],
     tree_spec: str = "balanced",
     sweeps: Optional[dict[str, sweep.SweepOutput]] = None,
-) -> BoundReport:
+) -> tuple[BoundEntry, ...]:
     """Evaluate the requested bounds; all values come straight from the
     library calls, timed individually.  ``alt-opt`` and ``--tree opt``
     share one ``alt_opt`` run, charged to whichever asks first.  When
@@ -96,7 +91,7 @@ def compute_bounds(
             raise ValueError(f"unknown bound {name!r}; valid: {', '.join(BOUND_NAMES)}")
         millis = (time.perf_counter() - start) * 1000.0
         entries.append(BoundEntry(name, value, millis, tree_source, tree_text))
-    return BoundReport(tuple(entries))
+    return tuple(entries)
 
 
 def _resolve_tree(
@@ -107,24 +102,29 @@ def _resolve_tree(
     if spec == "opt":
         return best_tree().tree, "opt"
     if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
-            return alternation.parse_tree(fh.read()), "file"
+        path = spec[1:]
+        with open(path, "rb") as fh:
+            text = _decode(fh.read(), f" in tree file {path}")
+        return alternation.parse_tree(text), "file"
     raise UsageError(f"--tree must be balanced, opt, or @<file>, got {spec!r}")
 
 
 def _read_input(path: str) -> str:
-    """The input as UTF-8 text; a bad byte is a parse error on its line."""
+    """The input as UTF-8 text, from a file or ``-`` for stdin."""
     if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        return _decode(sys.stdin.buffer.read())
+    with open(path, "rb") as fh:
+        return _decode(fh.read())
+
+
+def _decode(data: bytes, where: str = "") -> str:
+    """``data`` as UTF-8 text; a bad byte is a parse error on its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start].decode("utf-8")
         line = len((head + "?").splitlines())  # "?" stands for the bad byte
-        raise ParseError("not UTF-8 text", line) from None
+        raise ParseError(f"not UTF-8 text{where}", line) from None
 
 
 def _line_format(line: str, lineno: int) -> str:
@@ -234,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    P = load_pointset(args.input, args.format)
     bounds = [b.strip() for b in args.bounds.split(",") if b.strip()]
     for b in bounds:
         if b not in BOUND_NAMES:
@@ -245,13 +244,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if len(directions) != 1:
             raise UsageError("--sweep-to needs exactly one of irb-up/irb-down")
         sweeps = {}
-    report = compute_bounds(P, bounds, args.tree, sweeps)
+    P = load_pointset(args.input, args.format)
+    entries = compute_bounds(P, bounds, args.tree, sweeps)
     if sweeps is not None:
         out = sweeps[directions[0]]
         types = sweep.classify_added(P, out) if out.direction == "up" else None
         with open(args.sweep_to, "w", encoding="utf-8") as fh:
             fh.write(sweep.serialize_sweep(out, types))
-    for e in report.entries:
+    for e in entries:
         if args.tsv:
             print(
                 f"{e.name}\t{e.value}\t{e.millis:.3f}\t"

@@ -33,6 +33,10 @@ def sep_block(i: int, k: int) -> list[int]:
     bit-reversal order."""
     if i < 0:
         raise ValueError("sep_block: i must be >= 0")
+    if k < 1:
+        raise ValueError("sep_block: k must be >= 1")
+    if k > _MAX_BITREV_K:  # before n = 2^(2^k) is built
+        raise ValueError(f"sep_block: k={k} exceeds the cap of {_MAX_BITREV_K}")
     K = 1 << k
     n = 1 << K
     if i > n // 2:

@@ -9,7 +9,10 @@ the upward half of the independent-rectangle lower bound; the downward
 half mirrors it with lower-right partners and upper-right corners.
 
 Corners created while handling one access only enter the set after all
-of that access's partners have been gathered.
+of that access's partners have been gathered.  A sweep returns its
+corners as plain ``(x, y)`` points, grouped by access in time order and,
+within an access, in descending y of the partner.  Times are distinct,
+so the access that created a corner is the one in its row.
 
 The kernel works on column ranks and keeps one number per column: the
 time of the highest point in it (0 while it is empty).  Only that point
@@ -35,25 +38,14 @@ from .zrect import zrects
 
 
 @dataclass(frozen=True)
-class AddedPoint:
-    x: int
-    y: int
-    source: Point  # the access whose sweep step created this corner
-
-    @property
-    def point(self) -> Point:
-        return (self.x, self.y)
-
-
-@dataclass(frozen=True)
 class SweepOutput:
     accesses: PointSet
-    added: tuple[AddedPoint, ...]
+    added: tuple[Point, ...]
     direction: str  # "up" | "down"
 
     @property
     def added_points(self) -> frozenset[Point]:
-        return frozenset(a.point for a in self.added)
+        return frozenset(self.added)
 
 
 def _sweep_up(cols: list[int]) -> list[tuple[int, int]]:
@@ -89,14 +81,13 @@ def _sweep_up(cols: list[int]) -> list[tuple[int, int]]:
     return added
 
 
-def _sweep(P: PointSet, mirrored: bool) -> tuple[AddedPoint, ...]:
+def _sweep(P: PointSet, mirrored: bool) -> tuple[Point, ...]:
     # Descending keys give the mirrored ranks m-1-r, and map them back.
     pts = P.by_y
     keys = P.keys[::-1] if mirrored else P.keys
     rank = {x: i for i, x in enumerate(keys)}
     return tuple(
-        AddedPoint(keys[c], pts[t][1], pts[t])
-        for c, t in _sweep_up([rank[x] for x, _ in pts])
+        (keys[c], pts[t][1]) for c, t in _sweep_up([rank[x] for x, _ in pts])
     )
 
 
@@ -162,10 +153,9 @@ def classify_added(P: PointSet, out: SweepOutput) -> list[AddedPointType]:
         raise ValueError("classify_added: requires an up-sweep output")
     if out.accesses != P:
         raise ValueError("classify_added: sweep output does not belong to P")
-    pts = [a.point for a in out.added]
     max_x_at_y: dict[int, int] = {}
     ys_at_x: dict[int, list[int]] = {}
-    for x, y in pts:
+    for x, y in out.added:
         max_x_at_y[y] = max(max_x_at_y.get(y, x), x)
         ys_at_x.setdefault(x, []).append(y)
     for ys in ys_at_x.values():
@@ -174,7 +164,7 @@ def classify_added(P: PointSet, out: SweepOutput) -> list[AddedPointType]:
     tops: set[Point] | None = None  # computed lazily, only when needed
 
     result: list[AddedPointType] = []
-    for x, y in pts:
+    for x, y in out.added:
         column = ys_at_x[x]
         is_a = max_x_at_y[y] == x
         is_b = column[-1] == y
@@ -200,7 +190,7 @@ def serialize_sweep(
     added point, ascending y then x."""
     by_point = {t.point: t.labels for t in types} if types else {}
     lines = [("A", x, y, "") for x, y in out.accesses] + [
-        ("+", a.x, a.y, by_point.get(a.point, "")) for a in out.added
+        ("+", x, y, by_point.get((x, y), "")) for x, y in out.added
     ]
     lines.sort(key=lambda rec: (rec[2], rec[1]))
     return "".join(

@@ -164,13 +164,13 @@ def _remark_holds(P: PointSet, up: sweep.SweepOutput) -> bool:
     access_by_x = {x: y for x, y in P}
     access_by_y = {y: (x, y) for x, y in P}
     left_funnels: dict[int, set[Point]] = {}
-    for added in up.added:
-        below_y = access_by_x.get(added.x)
-        b = access_by_y.get(added.y)
-        if below_y is None or below_y >= added.y or b is None:
+    for x, y in up.added:
+        below_y = access_by_x.get(x)
+        b = access_by_y.get(y)
+        if below_y is None or below_y >= y or b is None:
             return False
-        if added.y not in left_funnels:
-            left_funnels[added.y] = set(funnel.funnel_of(P, b).left)
-        if (added.x, below_y) not in left_funnels[added.y]:
+        if y not in left_funnels:
+            left_funnels[y] = set(funnel.funnel_of(P, b).left)
+        if (x, below_y) not in left_funnels[y]:
             return False
     return True

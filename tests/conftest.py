@@ -212,7 +212,7 @@ def alt_opt_merged_table(P: PointSet) -> bb.AltWitness:
     return bb.AltWitness(value[0][n - 1], build(0, n - 1))
 
 
-def sweep_up_rescan(P: PointSet) -> tuple[bb.AddedPoint, ...]:
+def sweep_up_rescan(P: PointSet) -> tuple[Point, ...]:
     """Up-sweep that rescans the whole current set for every access,
     kept as an oracle for ``sweep_add_up``.
 
@@ -222,7 +222,7 @@ def sweep_up_rescan(P: PointSet) -> tuple[bb.AddedPoint, ...]:
     Emits the partners of one access in that order: descending y.
     """
     current: list[Point] = []  # grows in nondecreasing y
-    added: list[bb.AddedPoint] = []
+    added: list[Point] = []
     seen: set[Point] = set()
     for px, py in P.by_y:
         partners: list[Point] = []
@@ -241,32 +241,29 @@ def sweep_up_rescan(P: PointSet) -> tuple[bb.AddedPoint, ...]:
                 hi = gbest
                 if hi == px - 1:
                     break  # no key fits strictly between any more
-        step: list[bb.AddedPoint] = []
+        step: list[Point] = []
         for qx, qy in partners:
             corner = (qx, py)
             if corner not in seen:
                 seen.add(corner)
-                step.append(bb.AddedPoint(qx, py, (px, py)))
+                step.append(corner)
         added.extend(step)
         current.append((px, py))
-        current.extend(a.point for a in step)
+        current.extend(step)
     return tuple(added)
 
 
-def sweep_down_rescan(P: PointSet) -> tuple[bb.AddedPoint, ...]:
+def sweep_down_rescan(P: PointSet) -> tuple[Point, ...]:
     """Oracle for ``sweep_add_down``: the rescan on the mirrored set,
     mirrored back."""
-    return tuple(
-        bb.AddedPoint(-a.x, a.y, (-a.source[0], a.source[1]))
-        for a in sweep_up_rescan(hflip(P))
-    )
+    return tuple((-x, y) for x, y in sweep_up_rescan(hflip(P)))
 
 
 def classify_added_scan(P: PointSet, out) -> list[tuple[Point, str, Point | None]]:
     """Per-point scan of every added point, kept as an oracle for
     ``classify_added``: (point, labels, z-rectangle top) per added
     point, in sweep order."""
-    pts = [a.point for a in out.added]
+    pts = out.added
     access_by_y = {y: (x, y) for x, y in P}
     result = []
     for x, y in pts:

@@ -1,7 +1,11 @@
+import contextlib
 import functools
 import io
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bstbounds as bb
 import bstbounds.alternation
@@ -105,7 +109,7 @@ def test_alt_opt_runs_once_for_opt_tree(capsys, trace_file, monkeypatch):
     assert values["alt"] == values["alt-opt"]
     report = compute_bounds(from_trace([2, 1, 3, 2]), ["alt-opt", "alt"], "opt")
     assert len(calls) == 2
-    assert report.entries[0].value == report.entries[1].value
+    assert report[0].value == report[1].value
 
 
 def test_deep_reference_tree_is_evaluated(capsys, tmp_path):
@@ -142,7 +146,7 @@ def test_compute_values_match_library(capsys, sweep_file):
     assert code == 0
     got = dict(line.split("\t") for line in out.splitlines() if not line.startswith("#"))
     report = compute_bounds(SWEEP_SET, ["funnel", "zrects", "alt"])
-    for entry in report.entries:
+    for entry in report:
         assert got[entry.name] == str(entry.value)
 
 
@@ -156,6 +160,19 @@ def test_compute_rejects_unknown_bound(capsys, trio_file):
     code, _, err = run(capsys, "compute", trio_file, "--bounds", "magic")
     assert code == 2
     assert "unknown bound" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--bounds", "funnel,magic"], "unknown bound 'magic'"),
+        (["--bounds", "funnel", "--sweep-to", "out.sweep"], "--sweep-to needs exactly one"),
+    ],
+)
+def test_compute_usage_is_checked_before_the_input_is_read(capsys, argv, message):
+    code, out, err = run(capsys, "compute", "/nonexistent/input.txt", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"bstbounds: {message}")
 
 
 def test_parse_error_exit_code(capsys, tmp_path):
@@ -196,6 +213,27 @@ def test_non_utf8_input_is_a_parse_error(capsys, tmp_path, monkeypatch, data, li
     else:
         assert code == 2
         assert err == f"bstbounds: parse error: line {line}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize(
+    "data, line", [(b"(1 \xff2)\n", 1), (b"(1\n(2 3))\n\n\xc3(\n", 4)]
+)
+def test_non_utf8_tree_file_is_a_parse_error(capsys, trace_file, tmp_path, data, line):
+    tree = tmp_path / "ref.tree"
+    tree.write_bytes(data)
+    code, out, err = run(capsys, "compute", trace_file, "--bounds", "alt", "--tree", f"@{tree}")
+    assert (code, out) == (2, "")
+    assert err == f"bstbounds: parse error: line {line}: not UTF-8 text in tree file {tree}\n"
+
+
+def test_tree_file_named_dash_is_a_file(capsys, trace_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "compute", trace_file, "--bounds", "alt", "--tree", "@-")
+    assert code == 2
+    assert "No such file" in err
+    (tmp_path / "-").write_text(SIX_TREE_TEXT + "\n")
+    code, out, _ = run(capsys, "compute", trace_file, "--bounds", "alt", "--tree", "@-")
+    assert (code, out) == (0, "alt\t11\n")
 
 
 def test_missing_file_exit_code(capsys):
@@ -471,3 +509,94 @@ def test_compute_on_a_trace_builds_no_frozenset_and_sorts_nothing(
     (P,) = loaded
     assert sorted_sets == []
     assert "points" not in vars(P)
+
+
+# Grammar for the fuzz of ``main``.  File bytes mix well-formed lines
+# with 3-field lines, junk, invalid UTF-8 and the line breaks that
+# ``str.splitlines`` knows beyond '\n' ('\r', '\x1c').  Repeated
+# entries weight a draw toward the commands that reach the kernels.
+_FUZZ_LINES = st.one_of(
+    st.integers(-9, 9).map(lambda v: b"%d" % v),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda p: b"%d %d" % p),
+    st.sampled_from(
+        [b"", b"1 2 3", b"# c", b" 4\t", b"x", b"+7", b"\xff", b"\xc3", b"caf\xc3\xa9", b"9" * 5000]
+    ),
+    st.binary(max_size=3),
+)
+_FUZZ_BREAKS = st.sampled_from([b"\n", b"\r\n", b"\r", b"\x1c"])
+_FUZZ_FILE = st.one_of(
+    st.lists(st.integers(-9, 9), max_size=10).map(lambda keys: b"".join(b"%d\n" % k for k in keys)),
+    st.permutations(range(8)).map(lambda ys: b"".join(b"%d %d\n" % p for p in enumerate(ys))),
+    st.lists(st.tuples(_FUZZ_LINES, _FUZZ_BREAKS), max_size=10).map(
+        lambda parts: b"".join(line + brk for line, brk in parts)
+    ),
+)
+_FUZZ_TREE = st.one_of(
+    st.sampled_from([b"(0 1)", b"((-1 0) (1 2))", b"(1 \xff2)", b"\x80", b"(1", b"(1 2) 3", b"()"]),
+    st.binary(max_size=8),
+)
+
+
+def _maybe(*choices):
+    """No flag at all, or one of ``choices``."""
+    return st.sampled_from([[], *choices])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    """argv for ``main``, with "IN", "TREE" and "OUT" standing for files."""
+    source = draw(st.sampled_from(["IN", "IN", "IN", "-", "/nonexistent/in"]))
+    fmt = draw(_maybe([], [], ["--format", "trace"], ["--format", "pointset"], ["--format", "csv"]))
+    tsv = draw(_maybe(["--tsv"]))
+    command = draw(st.sampled_from(["compute"] * 4 + ["verify"] * 2 + ["transform", "gen", "junk"]))
+    if command == "compute":
+        names = st.sampled_from([*cli.BOUND_NAMES, "alt", "magic", " "])
+        bounds = ["--bounds", draw(st.lists(names, max_size=3).map(",".join))]
+        tree = draw(_maybe(*(["--tree", t] for t in ["balanced", "opt", "@TREE", "@TREE", "@-", "junk"])))
+        sweep_to = draw(st.sampled_from([[]] * 4 + [["--sweep-to", "OUT"], ["--sweep-to", "/nonexistent/out"]]))
+        return ["compute", source, *fmt, *bounds, *tree, *tsv, *sweep_to]
+    if command == "verify":
+        level = draw(_maybe(["--level", "quick"], ["--level", "full"], ["--level", "none"]))
+        return ["verify", source, *fmt, *level, *tsv]
+    if command == "transform":
+        op = draw(st.sampled_from(["rotate", "reverse", "hflip", "spin"]))
+        return ["transform", op, source, *fmt]
+    if command == "gen":
+        kind, k, reps = draw(
+            st.one_of(
+                st.tuples(st.just("bitrev"), st.integers(-1, 8), st.none() | st.just(1)),
+                st.tuples(st.just("separation"), st.integers(-1, 2), st.none() | st.integers(-1, 3)),
+                st.tuples(st.just("separation"), st.integers(3, 4), st.integers(-1, 2)),
+                st.tuples(st.sampled_from(["bitrev", "separation"]), st.just(64), st.none()),
+            )
+        )
+        return ["gen", kind, str(k), *([] if reps is None else ["--reps", str(reps)])]
+    return [command, source, *tsv]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(argv=_fuzz_argv(), data=_FUZZ_FILE, tree=_FUZZ_TREE)
+def test_main_exits_with_a_documented_code(fuzz_dir, argv, data, tree):
+    files = {"IN": fuzz_dir / "in.txt", "TREE": fuzz_dir / "ref.tree", "OUT": fuzz_dir / "out"}
+    files["IN"].write_bytes(data)
+    files["TREE"].write_bytes(tree)
+    argv = [str(files[a]) if a in files else a for a in argv]
+    argv = [f"@{files['TREE']}" if a == "@TREE" else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses the command line
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue() and "codec" not in err.getvalue(), (argv, err.getvalue())

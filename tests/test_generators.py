@@ -42,6 +42,13 @@ def test_sep_block_range_check():
         sep_block(9, 2)  # n/2 = 8 for k=2
     with pytest.raises(ValueError):
         sep_block(-1, 2)
+    # k is checked before n = 2^(2^k) is built.  No k in 25..63 is tried:
+    # past a broken check it would allocate gigabytes.
+    with pytest.raises(ValueError, match="cap of 24"):
+        sep_block(0, 64)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            sep_block(0, k)
 
 
 def test_separation_lengths():

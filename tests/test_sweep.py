@@ -70,9 +70,9 @@ def test_added_points_share_coordinates_with_accesses():
         out = sweep_add_up(P)
         xs = {x for x, _ in P}
         ys = {y for _, y in P}
-        for a in out.added:
-            assert a.x in xs and a.y in ys
-            assert a.point not in P
+        for x, y in out.added:
+            assert x in xs and y in ys
+            assert (x, y) not in P
         assert len(out.added_points) == len(out.added)
 
 
@@ -81,11 +81,11 @@ def test_down_equals_up_of_mirror():
         assert irb_down(P) == irb_up(hflip(P))
 
 
-def test_sources_are_the_creating_accesses():
-    out = sweep_add_up(SWEEP_SET)
-    for a in out.added:
-        assert a.source in SWEEP_SET
-        assert a.source[1] == a.y
+def test_every_added_row_holds_an_access():
+    # The access in an added point's row is the one that created it.
+    rows = {y for _, y in SWEEP_SET}
+    for out in (sweep_add_up(SWEEP_SET), sweep_add_down(SWEEP_SET)):
+        assert all(y in rows for _, y in out.added)
 
 
 def test_classification_labels_match_documented_example():
@@ -140,10 +140,10 @@ def test_added_points_come_from_funnel_pairs():
     # access in its row; the former sits in the latter's left funnel.
     for P in seeded_perms(40, 20, seed=222):
         access_by_y = {y: (x, y) for x, y in P}
-        for a in sweep_add_up(P).added:
-            below = [(x, y) for x, y in P if x == a.x and y < a.y]
+        for ax, ay in sweep_add_up(P).added:
+            below = [(x, y) for x, y in P if x == ax and y < ay]
             partner = max(below, key=lambda p: p[1])
-            assert partner in funnel_of(P, access_by_y[a.y]).left
+            assert partner in funnel_of(P, access_by_y[ay]).left
 
 
 def test_serialize_sweep():
