@@ -4,6 +4,10 @@ Subcommands: ``compute`` (evaluate bounds on a trace or point set),
 ``gen`` (emit generator traces), ``transform`` (geometric transforms of
 a point set), ``verify`` (run the exact cross-check suite).
 
+An input is a trace or a point set, as its first data line says.
+``compute`` checks its whole command line, a ``--tree`` file included,
+before it reads the input.
+
 Exit codes: 0 on success, 1 when a check fails or an input is refused
 (e.g. repeated keys for z-rectangle counting), 2 on usage or parse
 errors.
@@ -18,7 +22,7 @@ import functools
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import alternation, funnel, generators, sweep, verify, zrect
 from .geometry import (
@@ -28,6 +32,7 @@ from .geometry import (
     hflip,
     parse_pointset,
     parse_trace,
+    require_distinct_y,
     rotate90,
     serialize_pointset,
     serialize_trace,
@@ -53,29 +58,31 @@ class BoundEntry:
 def compute_bounds(
     P: PointSet,
     bounds: Sequence[str],
-    tree_spec: str = "balanced",
+    tree: Union[str, alternation.Tree] = "balanced",
     sweeps: Optional[dict[str, sweep.SweepOutput]] = None,
 ) -> tuple[BoundEntry, ...]:
-    """Evaluate the requested bounds; all values come straight from the
-    library calls, timed individually.  ``alt-opt`` and ``--tree opt``
-    share one ``alt_opt`` run, charged to whichever asks first.  When
-    ``sweeps`` is given, the output of each ``irb-up``/``irb-down``
-    sweep is stored in it under the bound's name, so that a caller can
-    write it out without sweeping again."""
-    best_tree = functools.cache(lambda: alternation.alt_opt(P))
+    """Evaluate the requested bounds, each timed on its own.  ``tree`` is
+    ``alt``'s reference tree: ``"balanced"`` over P's keys, ``"opt"`` or a
+    parsed tree.  ``alt-opt`` is ``alt`` on ``"opt"``, and every ``"opt"``
+    reads one ``alt_opt`` witness, charged to the first bound that asks.
+    With ``sweeps`` given, each ``irb-up``/``irb-down`` sweep's output is
+    stored in it under the bound's name, for writing out without a rerun."""
+    if isinstance(tree, str) and tree not in ("balanced", "opt"):
+        raise ValueError(f"tree must be 'balanced', 'opt' or a Tree, got {tree!r}")
+    best = functools.cache(lambda: alternation.alt_opt(P))
     entries = []
     for name in bounds:
         start = time.perf_counter()
         tree_source = tree_text = None
-        if name == "alt":
-            tree, tree_source = _resolve_tree(P, tree_spec, best_tree)
-            value = alternation.alt_bound(P, tree)
-            tree_text = alternation.format_tree(tree)
-        elif name == "alt-opt":
-            witness = best_tree()
-            value = witness.value
-            tree_source = "opt"
-            tree_text = alternation.format_tree(witness.tree)
+        if name in ("alt", "alt-opt"):
+            ref = "opt" if name == "alt-opt" else tree
+            if ref == "opt":
+                value, used = best()
+            else:
+                used = alternation.balanced_tree(P.keys) if ref == "balanced" else ref
+                value = alternation.alt_bound(P, used)
+            tree_source = ref if isinstance(ref, str) else "file"
+            tree_text = alternation.format_tree(used)
         elif name == "funnel":
             value = funnel.funnel_bound_fast(P)
         elif name == "zrects":
@@ -94,19 +101,20 @@ def compute_bounds(
     return tuple(entries)
 
 
-def _resolve_tree(
-    P: PointSet, spec: str, best_tree: Callable[[], alternation.AltWitness]
-) -> tuple[alternation.Tree, str]:
-    if spec == "balanced":
-        return alternation.balanced_tree(P.keys), "balanced"
-    if spec == "opt":
-        return best_tree().tree, "opt"
-    if spec.startswith("@"):
-        path = spec[1:]
-        with open(path, "rb") as fh:
-            text = _decode(fh.read(), f" in tree file {path}")
-        return alternation.parse_tree(text), "file"
-    raise UsageError(f"--tree must be balanced, opt, or @<file>, got {spec!r}")
+def _reference_tree(spec: str) -> Union[str, alternation.Tree]:
+    """``--tree`` as ``"balanced"``, ``"opt"`` or the tree ``@FILE`` holds;
+    a file that is not a tree is a usage error that names it."""
+    if spec in ("balanced", "opt"):
+        return spec
+    if not spec.startswith("@"):
+        raise UsageError(f"--tree must be balanced, opt, or @<file>, got {spec!r}")
+    path = spec[1:]
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), f" in tree file {path}")
+    try:
+        return alternation.parse_tree(text)
+    except ValueError as exc:
+        raise UsageError(f"tree file {path}: {exc}") from None
 
 
 def _read_input(path: str) -> str:
@@ -157,37 +165,24 @@ def _detect_format(text: str) -> str:
         size *= 4
 
 
-def load_pointset(path: str, fmt: str = "auto") -> PointSet:
-    """Read, parse and build the input in one pass of the chosen parser.
+def load_pointset(path: str) -> PointSet:
+    """Read, parse and build the input in one pass of one parser.
 
-    With ``fmt="auto"`` the first data line fixes the format, and a later
-    line that the parser refuses is reported as a mixed input when it has
-    the other format's width.
+    The first data line fixes the format, and a later line that the
+    parser refuses is reported as a mixed input when it has the other
+    format's width.
     """
     text = _read_input(path)
-    chosen = _detect_format(text) if fmt == "auto" else fmt
+    fmt = _detect_format(text)
     try:
-        if chosen == "trace":
+        if fmt == "trace":
             return from_trace(parse_trace(text))
-        if chosen == "pointset":
-            return parse_pointset(text)
+        return parse_pointset(text)
     except ParseError as exc:
-        if fmt == "auto":
-            bad_line = text.splitlines()[exc.line - 1]
-            if _line_format(bad_line, exc.line) != chosen:
-                raise ParseError("mixed trace and point-set lines", exc.line) from None
+        bad_line = text.splitlines()[exc.line - 1]
+        if _line_format(bad_line, exc.line) != fmt:
+            raise ParseError("mixed trace and point-set lines", exc.line) from None
         raise
-    raise ValueError(f"unknown input format {fmt!r}")
-
-
-def _add_input_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("input", help="trace or point-set file, '-' for stdin")
-    p.add_argument(
-        "--format",
-        choices=("auto", "trace", "pointset"),
-        default="auto",
-        help="input interpretation (default: auto-detect)",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -198,7 +193,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="evaluate bounds on an input")
-    _add_input_args(p_compute)
+    p_compute.add_argument("input", help="trace or point-set file, '-' for stdin")
     p_compute.add_argument(
         "--bounds",
         default="funnel",
@@ -223,10 +218,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_tr = sub.add_parser("transform", help="transform a point set")
     p_tr.add_argument("op", choices=("rotate", "reverse", "hflip"))
-    _add_input_args(p_tr)
+    p_tr.add_argument("input", help="trace or point-set file, '-' for stdin")
 
     p_ver = sub.add_parser("verify", help="run the exact cross-check suite")
-    _add_input_args(p_ver)
+    p_ver.add_argument("input", help="trace or point-set file, '-' for stdin")
     p_ver.add_argument("--level", choices=("quick", "full"), default="full")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--tsv", action="store_true", help="machine output")
@@ -244,8 +239,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if len(directions) != 1:
             raise UsageError("--sweep-to needs exactly one of irb-up/irb-down")
         sweeps = {}
-    P = load_pointset(args.input, args.format)
-    entries = compute_bounds(P, bounds, args.tree, sweeps)
+    tree = _reference_tree(args.tree)
+    P = load_pointset(args.input)
+    entries = compute_bounds(P, bounds, tree, sweeps)
     if sweeps is not None:
         out = sweeps[directions[0]]
         types = sweep.classify_added(P, out) if out.direction == "up" else None
@@ -277,14 +273,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    P = load_pointset(args.input, args.format)
     op = {"rotate": rotate90, "reverse": time_reverse, "hflip": hflip}[args.op]
-    sys.stdout.write(serialize_pointset(op(P)))
+    P = op(load_pointset(args.input))
+    require_distinct_y(P, f"transform {args.op}")  # the output must parse back
+    sys.stdout.write(serialize_pointset(P))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    P = load_pointset(args.input, args.format)
+    P = load_pointset(args.input)
     report = verify.run_checks(P, level=args.level, seed=args.seed)
     for r in report.results:
         if r.detail and (args.tsv or r.status in (verify.INFO, verify.SKIP)):

@@ -96,6 +96,15 @@ def funnel_bound(P: PointSet) -> int:
     return sum(f_value(P, p) for p in P.by_y)
 
 
+class ZRect(NamedTuple):
+    """One z-rectangle: its four points by role."""
+
+    top: Point
+    left: Point
+    bottom: Point
+    right: Point
+
+
 class _Node:
     __slots__ = ("key", "y", "left", "right")
 
@@ -106,12 +115,9 @@ class _Node:
         self.right: _Node | None = None
 
 
-ZRectRoles = tuple[Point, Point, Point, Point]  # (top, left, bottom, right)
-
-
 def move_to_root(
     points: Iterable[Point],
-    zrects: list[ZRectRoles] | None = None,
+    zrects: list[ZRect] | None = None,
     runs_out: list[int] | None = None,
 ) -> int:
     """Funnel bound of time-ordered points, and optionally their z-rectangles.
@@ -145,7 +151,7 @@ def move_to_root(
                 runs += 1
                 if zrects is not None and l_tail is not None and r_tail is not None:
                     left = (l_tail.key, l_tail.y)
-                    zrects.append(((x, y), left, (k, node.y), (r_tail.key, r_tail.y)))
+                    zrects.append(ZRect((x, y), left, (k, node.y), (r_tail.key, r_tail.y)))
                 if r_tail is None:
                     r_root = node
                 else:

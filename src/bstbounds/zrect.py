@@ -22,15 +22,8 @@ from __future__ import annotations
 from itertools import permutations
 from typing import NamedTuple
 
-from .funnel import ZRectRoles, move_to_root
+from .funnel import ZRect, move_to_root
 from .geometry import Point, PointSet, require_distinct_xy
-
-
-class ZRect(NamedTuple):
-    top: Point
-    left: Point
-    bottom: Point
-    right: Point
 
 
 class ZRectResult(NamedTuple):
@@ -63,10 +56,10 @@ def zrects(P: PointSet) -> ZRectResult:
     taken in descending time.
     """
     require_distinct_xy(P, "zrects")
-    found: list[ZRectRoles] = []
+    found: list[ZRect] = []
     move_to_root(P.by_y, found)
     found.sort()
-    return ZRectResult(len(found), [ZRect(*w) for w in found])
+    return ZRectResult(len(found), found)
 
 
 def zrects_brute(P: PointSet, max_points: int = 12) -> int:

@@ -167,6 +167,7 @@ def test_compute_rejects_unknown_bound(capsys, trio_file):
     [
         (["--bounds", "funnel,magic"], "unknown bound 'magic'"),
         (["--bounds", "funnel", "--sweep-to", "out.sweep"], "--sweep-to needs exactly one"),
+        (["--bounds", "alt", "--tree", "junk"], "--tree must be balanced, opt, or @<file>"),
     ],
 )
 def test_compute_usage_is_checked_before_the_input_is_read(capsys, argv, message):
@@ -236,20 +237,57 @@ def test_tree_file_named_dash_is_a_file(capsys, trace_file, tmp_path, monkeypatc
     assert (code, out) == (0, "alt\t11\n")
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("(1 x)\n", "parse_tree: bad token 'x'"),
+        ("(1\n", "parse_tree: unexpected end of input"),
+        ("()\n", "parse_tree: unexpected ')'"),
+    ],
+    ids=["bad-token", "unclosed", "empty-node"],
+)
+def test_malformed_tree_file_is_a_usage_error(capsys, tmp_path, text, reason):
+    # Read before the input: a missing input file is never reached.
+    tree = tmp_path / "ref.tree"
+    tree.write_text(text)
+    code, out, err = run(
+        capsys, "compute", "/nonexistent/input.txt", "--bounds", "alt", "--tree", f"@{tree}"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"bstbounds: tree file {tree}: {reason}\n"
+
+
+def test_tree_is_checked_when_no_bound_uses_it(capsys, trace_file):
+    code, out, err = run(capsys, "compute", trace_file, "--bounds", "funnel", "--tree", "junk")
+    assert (code, out) == (2, "")
+    assert err == "bstbounds: --tree must be balanced, opt, or @<file>, got 'junk'\n"
+
+
+def test_tree_file_is_parsed_once(capsys, trace_file, tmp_path, monkeypatch):
+    calls = []
+    real = bstbounds.alternation.parse_tree
+
+    def counting(text):
+        calls.append(text)
+        return real(text)
+
+    monkeypatch.setattr(bstbounds.alternation, "parse_tree", counting)
+    tree = tmp_path / "ref.tree"
+    tree.write_text(SIX_TREE_TEXT + "\n")
+    code, out, _ = run(
+        capsys, "compute", trace_file, "--bounds", "alt,alt", "--tree", f"@{tree}"
+    )
+    assert (code, out) == (0, "alt\t11\nalt\t11\n")
+    assert len(calls) == 1
+
+
+def test_compute_bounds_refuses_an_unknown_tree_name():
+    with pytest.raises(ValueError, match="tree must be"):
+        compute_bounds(TRIO, ["funnel"], "junk")
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "compute", "/nonexistent/input.txt")
-    assert code == 2
-
-
-def test_format_override(capsys, tmp_path):
-    # A one-column file is a trace by default; forcing pointset fails.
-    path = tmp_path / "t.txt"
-    path.write_text("1\n2\n")
-    code, out, _ = run(capsys, "compute", str(path), "--bounds", "funnel")
-    assert (code, out) == (0, "funnel\t1\n")
-    code, _, err = run(
-        capsys, "compute", str(path), "--format", "pointset", "--bounds", "funnel"
-    )
     assert code == 2
 
 
@@ -293,6 +331,15 @@ def test_transform_reverse(capsys, trio_file):
     code, out, _ = run(capsys, "transform", "reverse", trio_file)
     assert code == 0
     assert parse_pointset(out) == bb.time_reverse(TRIO)
+
+
+def test_transform_refuses_a_result_with_repeated_times(capsys, tmp_path):
+    # Rotating the trace 1 1 2 puts its two accesses of key 1 at one time.
+    path = tmp_path / "t.txt"
+    path.write_text("1\n1\n2\n")
+    code, out, err = run(capsys, "transform", "rotate", str(path))
+    assert (code, out) == (1, "")
+    assert err == "bstbounds: transform rotate: point set must have distinct y-coordinates\n"
 
 
 def test_transform_rotate_four_times_is_identity(capsys, trio_file, tmp_path, monkeypatch):
@@ -441,27 +488,24 @@ def test_load_pointset_edge_cases(tmp_path, data, expected):
 
 
 @pytest.mark.parametrize(
-    "text, argv, message",
+    "text, message",
     [
-        ("1\nx\n", [], "line 2: not an integer: 'x'"),
-        ("1 2\n3 x\n", [], "line 2: not an integer pair: '3 x'"),
-        ("1\n2 3 4\n", [], "line 2: expected 1 or 2 fields, got '2 3 4'"),
-        ("# c\n1 2 3\n", [], "line 2: expected 1 or 2 fields, got '1 2 3'"),
-        ("1\n2\n3 4\n", [], "line 3: mixed trace and point-set lines"),
-        ("1 2\n3\n", [], "line 2: mixed trace and point-set lines"),
-        ("1 2\n", ["--format", "trace"], "line 1: expected one integer, got '1 2'"),
-        ("1\n", ["--format", "pointset"], "line 1: expected `<x> <y>`, got '1'"),
+        ("1\nx\n", "line 2: not an integer: 'x'"),
+        ("1 2\n3 x\n", "line 2: not an integer pair: '3 x'"),
+        ("1\n2 3 4\n", "line 2: expected 1 or 2 fields, got '2 3 4'"),
+        ("# c\n1 2 3\n", "line 2: expected 1 or 2 fields, got '1 2 3'"),
+        ("1\n2\n3 4\n", "line 3: mixed trace and point-set lines"),
+        ("1 2\n3\n", "line 2: mixed trace and point-set lines"),
         # Several faults: the earliest line is reported.
-        ("1\nx\n1 2 3\n", [], "line 2: not an integer: 'x'"),
+        ("1\nx\n1 2 3\n", "line 2: not an integer: 'x'"),
     ],
     ids=["non-integer", "non-integer-pair", "three-fields", "three-fields-first",
-         "trace-then-points", "points-then-trace", "forced-trace", "forced-points",
-         "earliest-fault"],
+         "trace-then-points", "points-then-trace", "earliest-fault"],
 )
-def test_parse_errors_name_the_line(capsys, tmp_path, text, argv, message):
+def test_parse_errors_name_the_line(capsys, tmp_path, text, message):
     path = tmp_path / "bad.txt"
     path.write_text(text)
-    code, out, err = run(capsys, "compute", str(path), *argv)
+    code, out, err = run(capsys, "compute", str(path))
     assert (code, out) == (2, "")
     assert err == f"bstbounds: parse error: {message}\n"
 
@@ -546,7 +590,6 @@ def _maybe(*choices):
 def _fuzz_argv(draw):
     """argv for ``main``, with "IN", "TREE" and "OUT" standing for files."""
     source = draw(st.sampled_from(["IN", "IN", "IN", "-", "/nonexistent/in"]))
-    fmt = draw(_maybe([], [], ["--format", "trace"], ["--format", "pointset"], ["--format", "csv"]))
     tsv = draw(_maybe(["--tsv"]))
     command = draw(st.sampled_from(["compute"] * 4 + ["verify"] * 2 + ["transform", "gen", "junk"]))
     if command == "compute":
@@ -554,13 +597,13 @@ def _fuzz_argv(draw):
         bounds = ["--bounds", draw(st.lists(names, max_size=3).map(",".join))]
         tree = draw(_maybe(*(["--tree", t] for t in ["balanced", "opt", "@TREE", "@TREE", "@-", "junk"])))
         sweep_to = draw(st.sampled_from([[]] * 4 + [["--sweep-to", "OUT"], ["--sweep-to", "/nonexistent/out"]]))
-        return ["compute", source, *fmt, *bounds, *tree, *tsv, *sweep_to]
+        return ["compute", source, *bounds, *tree, *tsv, *sweep_to]
     if command == "verify":
         level = draw(_maybe(["--level", "quick"], ["--level", "full"], ["--level", "none"]))
-        return ["verify", source, *fmt, *level, *tsv]
+        return ["verify", source, *level, *tsv]
     if command == "transform":
         op = draw(st.sampled_from(["rotate", "reverse", "hflip", "spin"]))
-        return ["transform", op, source, *fmt]
+        return ["transform", op, source]
     if command == "gen":
         kind, k, reps = draw(
             st.one_of(
@@ -574,6 +617,14 @@ def _fuzz_argv(draw):
     return [command, source, *tsv]
 
 
+def _is_tree(data):
+    try:
+        bb.parse_tree(data.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError included
+        return False
+    return True
+
+
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
@@ -585,6 +636,7 @@ def test_main_exits_with_a_documented_code(fuzz_dir, argv, data, tree):
     files = {"IN": fuzz_dir / "in.txt", "TREE": fuzz_dir / "ref.tree", "OUT": fuzz_dir / "out"}
     files["IN"].write_bytes(data)
     files["TREE"].write_bytes(tree)
+    bad_tree = argv[0] == "compute" and "@TREE" in argv and not _is_tree(tree)
     argv = [str(files[a]) if a in files else a for a in argv]
     argv = [f"@{files['TREE']}" if a == "@TREE" else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
@@ -599,4 +651,6 @@ def test_main_exits_with_a_documented_code(fuzz_dir, argv, data, tree):
     finally:
         sys.stdin = stdin
     assert code in (0, 1, 2), (argv, code)
+    if bad_tree:  # refused before anything reads the input
+        assert code == 2, (argv, tree, err.getvalue())
     assert "Traceback" not in err.getvalue() and "codec" not in err.getvalue(), (argv, err.getvalue())

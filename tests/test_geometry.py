@@ -127,6 +127,20 @@ def test_parse_trace():
         parse_trace("1\n2 3\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_trace, "1 2\n", "line 1: expected one integer, got '1 2'"),
+        (parse_pointset, "1\n", "line 1: expected `<x> <y>`, got '1'"),
+    ],
+    ids=["trace-refuses-a-pair", "pointset-refuses-a-key"],
+)
+def test_parsers_quote_a_line_of_the_other_width(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 @given(point_sets())
 def test_pointset_round_trip(P):
     assert parse_pointset(serialize_pointset(P)) == P
