@@ -17,6 +17,7 @@ reference tree may be as deep as it has keys (a caterpillar).
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .geometry import PointSet, require_distinct_y
@@ -173,11 +174,21 @@ def alt_opt(P: PointSet) -> AltWitness:
                      1 + crossings(i..j, k) + best(i..k) + best(k+1..j)
 
     where crossings(i..j, k) counts consecutive accesses, among those to
-    keys i..j, whose ranks a < b satisfy a <= k < b.  One pass over the
-    accesses per interval adds +1 at a and -1 at b to a difference array,
-    whose prefix sums give the count for every k at once; the 1 is the
-    first run, since both sides hold an accessed key.  Cost O(n^2 * m)
-    for n distinct keys and m accesses.
+    keys i..j, whose ranks a < b satisfy a <= k < b; the 1 is the first
+    run, since both sides hold an accessed key.  A difference array with
+    +1 at a and -1 at b for every such pair gives the count for every k
+    at once as its prefix sums.
+
+    Consecutive accesses to one key never cross, so they are collapsed
+    first.  The left end i runs down from n-1, and the accesses to keys
+    i..n-1 stay linked in time order, key i's being linked in as i is
+    reached.  Then, on a copy of the links, j runs down from n-1: the
+    prefix sums for i..j are saved and key j's accesses are unlinked.
+    Each unlink removes the pairs (prev, node) and (node, next) and adds
+    (prev, next), so the difference array follows without a rescan
+    (Knuth's dancing links).  The recurrence then runs j upward over the
+    saved rows.  Cost O(n * m + n^3) time and O(n^2 + m) memory for n
+    distinct keys and m accesses.
 
     Ties pick the leftmost split, so the witness is deterministic.
     """
@@ -187,33 +198,92 @@ def alt_opt(P: PointSet) -> AltWitness:
     keys = P.keys
     n = len(keys)
     index = {k: i for i, k in enumerate(keys)}
-    ranks = [index[x] for x, _ in P.by_y]
+    ranks: list[int] = []
+    for x, _ in P.by_y:
+        r = index[x]
+        if not ranks or ranks[-1] != r:
+            ranks.append(r)
+    positions: list[list[int]] = [[] for _ in range(n)]
+    for t, r in enumerate(ranks):
+        positions[r].append(t)
 
+    # The accesses to keys i..n-1 in time order (-1 ends the list), and
+    # the difference array of their crossing pairs.  A pair of equal
+    # ranks adds and subtracts at one index, so it counts nothing.
+    linked_prev = [-1] * len(ranks)
+    linked_next = [-1] * len(ranks)
+    linked_diff = [0] * n
+    head = -1
     value = [[0] * n for _ in range(n)]
     split = [[0] * n for _ in range(n)]
-    for length in range(2, n + 1):
-        for i in range(n - length + 1):
-            j = i + length - 1
-            kept = [r for r in ranks if i <= r <= j]
-            diff = [0] * n
-            for a, b in zip(kept, kept[1:]):
-                if a < b:
-                    diff[a] += 1
-                    diff[b] -= 1
-                elif b < a:
-                    diff[b] += 1
+    for i in range(n - 1, -1, -1):
+        # Link key i in; an access's predecessor is the last earlier
+        # access to a key >= i.
+        for t in positions[i]:
+            p = t - 1
+            while p >= 0 and ranks[p] < i:
+                p -= 1
+            if p < 0:
+                q, head = head, t
+            else:
+                q = linked_next[p]
+                linked_next[p] = t
+            linked_prev[t], linked_next[t] = p, q
+            if q >= 0:
+                linked_prev[q] = t
+                b = ranks[q]
+                linked_diff[i] += 1
+                linked_diff[b] -= 1
+            if p >= 0:
+                a = ranks[p]
+                linked_diff[i] += 1
+                linked_diff[a] -= 1
+                if q >= 0:  # the pair (p, q) is split
+                    if a < b:
+                        linked_diff[a] -= 1
+                        linked_diff[b] += 1
+                    else:
+                        linked_diff[b] -= 1
+                        linked_diff[a] += 1
+
+        # Unlink keys n-1..i+1 from a copy; before key j goes,
+        # rows[j][k - i] = crossings(i..j, k), as no kept rank exceeds j.
+        prev, nxt, diff = linked_prev[:], linked_next[:], linked_diff[:]
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for j in range(n - 1, i, -1):
+            rows[j] = list(accumulate(diff[i:j]))
+            for t in positions[j]:
+                p, q = prev[t], nxt[t]
+                if p >= 0:
+                    nxt[p] = q
+                    a = ranks[p]
                     diff[a] -= 1
+                    diff[j] += 1
+                if q >= 0:
+                    prev[q] = p
+                    b = ranks[q]
+                    diff[b] -= 1
+                    diff[j] += 1
+                    if p >= 0:  # the pair (p, q) is new
+                        if a < b:
+                            diff[a] += 1
+                            diff[b] -= 1
+                        else:
+                            diff[b] += 1
+                            diff[a] -= 1
+
+        value_i, split_i = value[i], split[i]
+        for j in range(i + 1, n):
+            row = rows[j]
             best = -1
             best_k = i
-            crossings = 0
             for k in range(i, j):
-                crossings += diff[k]
-                v = 1 + crossings + value[i][k] + value[k + 1][j]
+                v = 1 + row[k - i] + value_i[k] + value[k + 1][j]
                 if v > best:
                     best = v
                     best_k = k
-            value[i][j] = best
-            split[i][j] = best_k
+            value_i[j] = best
+            split_i[j] = best_k
 
     return AltWitness(value[0][n - 1], _build_tree(keys, lambda i, j: split[i][j]))
 

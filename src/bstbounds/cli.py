@@ -18,7 +18,9 @@ Output is tab-separated, one record per line; lines starting with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -238,14 +240,21 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         directions = [b for b in bounds if b in ("irb-up", "irb-down")]
         if len(directions) != 1:
             raise UsageError("--sweep-to needs exactly one of irb-up/irb-down")
+        if args.input != "-" and _same_file(args.input, args.sweep_to):
+            raise UsageError(f"--sweep-to {args.sweep_to} is the input file")
         sweeps = {}
     tree = _reference_tree(args.tree)
-    P = load_pointset(args.input)
-    entries = compute_bounds(P, bounds, tree, sweeps)
-    if sweeps is not None:
-        out = sweeps[directions[0]]
-        types = sweep.classify_added(P, out) if out.direction == "up" else None
-        with open(args.sweep_to, "w", encoding="utf-8") as fh:
+    # Opened before any work, so an unwritable destination fails at once.
+    with (
+        open(args.sweep_to, "w", encoding="utf-8")
+        if args.sweep_to
+        else contextlib.nullcontext()
+    ) as fh:
+        P = load_pointset(args.input)
+        entries = compute_bounds(P, bounds, tree, sweeps)
+        if sweeps is not None:
+            out = sweeps[directions[0]]
+            types = sweep.classify_added(P, out) if out.direction == "up" else None
             fh.write(sweep.serialize_sweep(out, types))
     for e in entries:
         if args.tsv:
@@ -258,6 +267,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             if e.tree_source == "opt" and e.tree_text:
                 print(f"# {e.name} tree: {e.tree_text}")
     return 0
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either one missing: not the same existing file
+        return False
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

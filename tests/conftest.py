@@ -7,7 +7,8 @@ import random
 from hypothesis import strategies as st
 
 import bstbounds as bb
-from bstbounds.geometry import Point, PointSet, hflip
+from bstbounds.alternation import _build_tree
+from bstbounds.geometry import Point, PointSet, hflip, require_distinct_y
 from bstbounds.mixing import merged_blocks
 
 # Trace with a repeated key; its alternation value for the five-leaf
@@ -210,6 +211,54 @@ def alt_opt_merged_table(P: PointSet) -> bb.AltWitness:
         return (build(i, k), build(k + 1, j))
 
     return bb.AltWitness(value[0][n - 1], build(0, n - 1))
+
+
+def alt_opt_interval_scan(P: PointSet) -> bb.AltWitness:
+    """Interval DP with one pass over the accesses per key interval, kept
+    as an oracle for ``alt_opt``.
+
+    For each interval [i..j] the accesses to keys i..j are filtered out
+    of the whole trace, and every consecutive pair of different ranks
+    a < b adds +1 at a and -1 at b to a difference array whose prefix sum
+    at k counts the crossings of split k.  O(n^2 * m); same recurrence
+    and leftmost-split tie rule as ``alt_opt``, so the witness tree must
+    match too.
+    """
+    require_distinct_y(P, "alt_opt")
+    if not len(P):
+        raise ValueError("alt_opt: empty point set")
+    keys = P.keys
+    n = len(keys)
+    index = {k: i for i, k in enumerate(keys)}
+    ranks = [index[x] for x, _ in P.by_y]
+
+    value = [[0] * n for _ in range(n)]
+    split = [[0] * n for _ in range(n)]
+    for length in range(2, n + 1):
+        for i in range(n - length + 1):
+            j = i + length - 1
+            kept = [r for r in ranks if i <= r <= j]
+            diff = [0] * n
+            for a, b in zip(kept, kept[1:]):
+                if a < b:
+                    diff[a] += 1
+                    diff[b] -= 1
+                elif b < a:
+                    diff[b] += 1
+                    diff[a] -= 1
+            best = -1
+            best_k = i
+            crossings = 0
+            for k in range(i, j):
+                crossings += diff[k]
+                v = 1 + crossings + value[i][k] + value[k + 1][j]
+                if v > best:
+                    best = v
+                    best_k = k
+            value[i][j] = best
+            split[i][j] = best_k
+
+    return bb.AltWitness(value[0][n - 1], _build_tree(keys, lambda i, j: split[i][j]))
 
 
 def sweep_up_rescan(P: PointSet) -> tuple[Point, ...]:

@@ -205,6 +205,25 @@ def test_criterion_4_separation_trend():
     _finish("4 separation trend", failures)
 
 
+def test_criterion_4_separation_trend_against_alt_opt():
+    # The same growth against the optimum over all reference trees.  On
+    # both inputs alt-opt exceeds the funnel, so funnel >= alt-opt is
+    # never asserted; only the exact values and the growth are.
+    failures = []
+    values = {}
+    for k in (2, 3):
+        K = 1 << k
+        n = 1 << K
+        reps = math.ceil(n / math.log2(n))
+        P = from_trace(bb.separation_sequence(bb.SeparationParams(k, reps)))
+        values[k] = (funnel_bound(P), alt_opt(P).value)
+    (f2, a2), (f3, a3) = values[2], values[3]
+    _check(failures, (f2, a2) == (264, 291), f"k=2 funnel, alt-opt: {f2}, {a2}")
+    _check(failures, (f3, a3) == (87701, 88053), f"k=3 funnel, alt-opt: {f3}, {a3}")
+    _check(failures, f3 * a2 > f2 * a3, f"ratio did not grow: {f2}/{a2} vs {f3}/{a3}")
+    _finish("4 separation trend against alt-opt", failures)
+
+
 def test_criterion_5_zero_zrects_means_linear_sweep():
     failures = []
     rng = random.Random(0x5EED)

@@ -16,12 +16,13 @@ from bstbounds.alternation import (
     random_tree,
     tree_leaves,
 )
-from bstbounds.geometry import from_trace
+from bstbounds.geometry import from_trace, rotate90
 
 from conftest import (
     SIX_ALT,
     SIX_TRACE,
     SIX_TREE_TEXT,
+    alt_opt_interval_scan,
     alt_opt_merged_table,
     parse_tree_recursive,
     perm_pointset,
@@ -213,6 +214,49 @@ def test_alt_opt_matches_merged_table_oracle():
     cases += [from_trace(t) for t in _uniform_traces(100, 8, 60, seed=606)]
     for P in cases:
         assert alt_opt(P) == alt_opt_merged_table(P)
+
+
+def _sparse_key_traces():
+    """Traces over a few keys drawn far apart, negative ones included."""
+    rng = random.Random(808)
+    for _ in range(40):
+        pool = rng.sample(range(-10**6, 10**6), rng.randint(1, 15))
+        yield [rng.choice(pool) for _ in range(rng.randint(1, 120))]
+
+
+def _long_run_traces():
+    """Traces of long runs of one key, which the kernel collapses."""
+    yield [1] * 500 + [2] * 500 + [1] * 3
+    rng = random.Random(909)
+    for _ in range(20):
+        n = rng.randint(2, 10)
+        trace: list[int] = []
+        for _ in range(rng.randint(1, 12)):
+            trace += [rng.randint(1, n)] * rng.randint(1, 60)
+        yield trace
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        lambda: (rotate90(P) for P in seeded_perms(40, 30, seed=707)),
+        lambda: map(from_trace, _sparse_key_traces()),
+        lambda: map(from_trace, _long_run_traces()),
+        lambda: map(from_trace, ([5], [7] * 50)),
+    ],
+    ids=["rotated-permutations", "sparse-keys", "long-runs", "one-key"],
+)
+def test_alt_opt_matches_interval_scan_oracle(cases):
+    # Value and tree, against the O(n^2 * m) rescan of every interval.
+    for P in cases():
+        assert alt_opt(P) == alt_opt_interval_scan(P), P
+
+
+def test_alt_opt_matches_interval_scan_oracle_on_a_long_uniform_trace():
+    rng = random.Random(1010)
+    P = from_trace([rng.randint(1, 100) for _ in range(2000)])
+    assert len(P.keys) == 100
+    assert alt_opt(P) == alt_opt_interval_scan(P)
 
 
 def test_alt_opt_dominates_any_tree():

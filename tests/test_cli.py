@@ -439,6 +439,32 @@ def test_sweep_runs_once_for_sweep_to(capsys, sweep_file, tmp_path, monkeypatch,
     assert f"{bound}\t{len(expected.added)}\n" in out
 
 
+def test_unwritable_sweep_destination_fails_before_the_sweep(
+    capsys, sweep_file, tmp_path, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(bstbounds.sweep, "sweep_add_up", calls.append)
+    dest = tmp_path / "missing" / "out.sweep"
+    code, out, err = run(
+        capsys, "compute", sweep_file, "--bounds", "irb-up,funnel", "--sweep-to", str(dest)
+    )
+    assert code == 2
+    assert calls == []
+    assert out == ""
+    assert str(dest) in err
+
+
+def test_sweep_destination_may_not_be_the_input(capsys, trace_file):
+    before = open(trace_file).read()
+    code, out, err = run(
+        capsys, "compute", trace_file, "--bounds", "irb-up", "--sweep-to", trace_file
+    )
+    assert code == 2
+    assert out == ""
+    assert "is the input file" in err
+    assert open(trace_file).read() == before
+
+
 def test_gen_reps_only_for_separation(capsys):
     code, _, err = run(capsys, "gen", "bitrev", "2", "--reps", "3")
     assert code == 2
