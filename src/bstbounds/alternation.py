@@ -135,33 +135,34 @@ def alt_bound(P: PointSet, tree: Tree) -> int:
     """Alternation bound of P for one reference tree.
 
     Repeated keys are fine: all accesses of a key sit at its single leaf.
+    Each key's root-to-leaf path, as (node, side) pairs, is listed once;
+    then one scan over the keys in time order walks each access down its
+    path and counts a switch at every node whose last side it changes.
+    A node's first access counts too, as the first run.  The paths take
+    memory for the sum of the leaf depths, which is at most the number
+    of steps the scan takes anyway.
     """
     require_distinct_y(P, "alt_bound")
     _check_tree_keys(P, tree, "alt_bound")
-    total = 0
-    stack = [(tree, [x for x, _ in P.by_y])]
+    paths: dict[int, tuple[tuple[int, int], ...]] = {}
+    nodes = 0
+    stack: list[tuple[Tree, tuple[tuple[int, int], ...]]] = [(tree, ())]
     while stack:
-        node, xs = stack.pop()
-        if isinstance(node, int) or not xs:
-            continue
-        left, right = node
-        boundary = _max_leaf(left)
-        # Switch count along time order == mix_value of the two y-sets.
-        last = 0
-        for x in xs:
-            side = 1 if x <= boundary else 2
-            if side != last:
+        node, path = stack.pop()
+        if isinstance(node, int):
+            paths[node] = path
+        else:
+            stack.append((node[1], path + ((nodes, 2),)))
+            stack.append((node[0], path + ((nodes, 1),)))
+            nodes += 1
+    last = [0] * nodes
+    total = 0
+    for x in P.xs:
+        for node, side in paths[x]:
+            if last[node] != side:
+                last[node] = side
                 total += 1
-                last = side
-        stack.append((left, [x for x in xs if x <= boundary]))
-        stack.append((right, [x for x in xs if x > boundary]))
     return total
-
-
-def _max_leaf(tree: Tree) -> int:
-    while not isinstance(tree, int):
-        tree = tree[1]
-    return tree
 
 
 def alt_opt(P: PointSet) -> AltWitness:
@@ -199,7 +200,7 @@ def alt_opt(P: PointSet) -> AltWitness:
     n = len(keys)
     index = {k: i for i, k in enumerate(keys)}
     ranks: list[int] = []
-    for x, _ in P.by_y:
+    for x in P.xs:
         r = index[x]
         if not ranks or ranks[-1] != r:
             ranks.append(r)

@@ -207,4 +207,4 @@ def funnel_bound_fast(P: PointSet) -> int:
     checked differentially against ``funnel_bound``.
     """
     require_distinct_y(P, "funnel_bound_fast")
-    return move_to_root(P.by_y)
+    return move_to_root(zip(P.xs, P.ys))

@@ -5,18 +5,27 @@ becomes the point (x_i, i), with keys on the horizontal axis and time on
 the vertical axis.  All coordinates are plain Python integers, so the
 transforms below (which negate coordinates) are exact.
 
-A ``PointSet`` keeps its points in time order (``by_y``) as its native
-storage whenever it has that order for free: ``from_trace`` writes the
-points ``(x, i)`` straight into ``by_y``, so a trace is read, checked and
-ordered exactly once and is never re-sorted.  The frozenset behind set
-equality, hashing and membership is built lazily, on the first ``==``,
-``hash`` or ``in``.
+A ``PointSet`` built from a trace is stored as its two columns: ``xs``,
+the parsed key list itself, and ``ys``, the times ``range(1, m + 1)``.
+Every bound kernel reads the columns as they are, so a trace is read,
+checked and ordered exactly once, costs one list pointer per access
+(~8 B; a ``(x, y)`` tuple per access cost ~97 B more) and is never
+re-sorted.  The time-ordered point list ``by_y`` and the frozenset
+behind set equality, hashing and membership are built lazily, only when
+something asks for points.
+
+The parsers (and the CLI, when it looks up a faulty line) split text
+with ``line_chunks``, about ``_CHUNK`` characters at a time, each piece
+cut right after a ``'\\n'``, so nothing holds a string per line of the
+whole input.  ``str.splitlines`` reads ``'\\r\\n'`` as one break, and
+no cut falls inside one, so the lines, their numbers and the error
+messages are those of splitting the whole text.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, int]
 
@@ -32,11 +41,13 @@ class ParseError(ValueError):
 class PointSet:
     """Immutable finite set of integer points with set equality.
 
-    Storage is the time-ordered list ``by_y`` when the set was built from
-    a trace, and the frozenset ``points`` otherwise; each is derived from
-    the other on first use and then cached.  Only ``==``, ``hash`` and
-    ``in`` need the frozenset; length and iteration read ``by_y`` when it
-    is already there.
+    Storage is the columns ``xs``/``ys`` (keys and times, in time order)
+    when the set was built from a trace, and the frozenset ``points``
+    otherwise.  Everything else is derived on first use and cached:
+    ``by_y`` zips the columns of a trace and sorts the frozenset of a
+    point set, and a point set takes its columns from ``by_y``.  Only
+    ``==``, ``hash`` and ``in`` need the frozenset; length, iteration
+    and ``keys`` read the columns when they are already there.
 
     Duplicate y-coordinates are representable (rotating a set that has
     repeated x produces them), but every bound computation refuses such
@@ -48,17 +59,31 @@ class PointSet:
 
     @cached_property
     def points(self) -> frozenset[Point]:
-        return frozenset(self.by_y)
+        return frozenset(zip(self.xs, self.ys))
 
     @cached_property
     def by_y(self) -> list[Point]:
         """Points ordered by ascending y (chronological order)."""
+        if "xs" in self.__dict__:
+            return list(zip(self.xs, self.ys))
         return sorted(self.points, key=lambda p: (p[1], p[0]))
+
+    @cached_property
+    def xs(self) -> Sequence[int]:
+        """The x-coordinates in ``by_y`` order: the keys in time order."""
+        return [x for x, _ in self.by_y]
+
+    @cached_property
+    def ys(self) -> Sequence[int]:
+        """The y-coordinates in ``by_y`` order, ascending."""
+        return [y for _, y in self.by_y]
 
     @cached_property
     def keys(self) -> tuple[int, ...]:
         """The distinct x-coordinates, ascending."""
-        return tuple(sorted({x for x, _ in self}))
+        if "xs" in self.__dict__:
+            return tuple(sorted(set(self.xs)))
+        return tuple(sorted({x for x, _ in self.points}))
 
     @cached_property
     def has_distinct_y(self) -> bool:
@@ -68,15 +93,13 @@ class PointSet:
     def has_distinct_x(self) -> bool:
         return len(self.keys) == len(self)
 
-    def _stored(self) -> Collection[Point]:
-        stored = self.__dict__
-        return stored["by_y"] if "by_y" in stored else self.points
-
     def __len__(self) -> int:
-        return len(self._stored())
+        return len(self.xs) if "xs" in self.__dict__ else len(self.points)
 
     def __iter__(self) -> Iterator[Point]:
-        return iter(self._stored())
+        if "xs" in self.__dict__:
+            return zip(self.xs, self.ys)
+        return iter(self.points)
 
     def __contains__(self, p: object) -> bool:
         return p in self.points
@@ -107,11 +130,13 @@ def require_distinct_xy(P: PointSet, op: str) -> None:
 def from_trace(keys: Sequence[int]) -> PointSet:
     """Geometric view of a trace: access i of key x becomes point (x, i).
 
-    The points are stored in time order as they are made; times are
-    distinct by construction, so nothing is sorted or checked.
+    ``keys`` itself becomes the column ``xs`` (pass a list that nothing
+    mutates afterwards) and ``range(1, m + 1)`` the column ``ys``; times
+    are distinct by construction, so nothing is copied, sorted or checked.
     """
     P = PointSet.__new__(PointSet)
-    P.by_y = list(zip(keys, range(1, len(keys) + 1)))
+    P.xs = keys
+    P.ys = range(1, len(keys) + 1)
     P.has_distinct_y = True
     return P
 
@@ -135,18 +160,55 @@ def hflip(P: PointSet) -> PointSet:
     return PointSet((-x, y) for x, y in P)
 
 
+_CHUNK = 1 << 16  # characters split into lines at a time
+
+
+def line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
+    """The lines of ``text`` as ``str.splitlines`` gives them, in pieces:
+    (number of the piece's first line, its lines), for pieces of about
+    ``_CHUNK`` characters cut right after a '\\n'.  No cut falls inside
+    a '\\r\\n', so every line and its number are those of the whole text.
+    """
+    lineno = 1
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK - 1)
+        end = len(text) if cut < 0 else cut + 1
+        lines = text[start:end].splitlines()
+        yield lineno, lines
+        lineno += len(lines)
+        start = end
+
+
 def parse_trace(text: str) -> list[int]:
     """Parse a trace file: one integer key per line.
 
     Blank lines and lines whose first field starts with '#' are skipped.
-    ``int`` ignores surrounding whitespace, so a well-formed line is
-    converted as it is; only a line it refuses is split and looked at.
+    ``int`` ignores surrounding whitespace, so a piece of well-formed
+    lines is converted as it is; only a piece with a line it refuses is
+    gone through line by line.  The key list gets one slot per '\\n' up
+    front, because growing it as it fills holds the old and the new
+    array at once; a text broken by other line breaks grows it anyway.
     """
-    keys: list[int] = []
-    append = keys.append
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    keys: list[int] = [0] * (text.count("\n") + 1)
+    filled = 0
+    for first, lines in line_chunks(text):
         try:
-            append(int(line))
+            piece = list(map(int, lines))
+        except ValueError:
+            piece = _parse_trace_lines(lines, first)
+        keys[filled : filled + len(piece)] = piece
+        filled += len(piece)
+    del keys[filled:]
+    return keys
+
+
+def _parse_trace_lines(lines: list[str], first: int) -> list[int]:
+    """The keys of ``lines``, numbered from ``first``, one line at a time."""
+    keys: list[int] = []
+    for lineno, line in enumerate(lines, start=first):
+        try:
+            keys.append(int(line))
         except ValueError:
             fields = line.split()
             if not fields or fields[0].startswith("#"):
@@ -164,22 +226,23 @@ def parse_pointset(text: str) -> PointSet:
     """
     points: list[Point] = []
     seen_y: dict[int, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        if len(fields) != 2:
-            raise ParseError(f"expected `<x> <y>`, got {line.strip()!r}", lineno)
-        try:
-            x, y = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"not an integer pair: {line.strip()!r}", lineno) from None
-        if y in seen_y:
-            raise ParseError(
-                f"duplicate y-coordinate {y} (first seen on line {seen_y[y]})", lineno
-            )
-        seen_y[y] = lineno
-        points.append((x, y))
+    for first, lines in line_chunks(text):
+        for lineno, line in enumerate(lines, start=first):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != 2:
+                raise ParseError(f"expected `<x> <y>`, got {line.strip()!r}", lineno)
+            try:
+                x, y = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError(f"not an integer pair: {line.strip()!r}", lineno) from None
+            if y in seen_y:
+                raise ParseError(
+                    f"duplicate y-coordinate {y} (first seen on line {seen_y[y]})", lineno
+                )
+            seen_y[y] = lineno
+            points.append((x, y))
     return PointSet(points)
 
 

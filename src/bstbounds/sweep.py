@@ -83,12 +83,10 @@ def _sweep_up(cols: list[int]) -> list[tuple[int, int]]:
 
 def _sweep(P: PointSet, mirrored: bool) -> tuple[Point, ...]:
     # Descending keys give the mirrored ranks m-1-r, and map them back.
-    pts = P.by_y
+    ys = P.ys
     keys = P.keys[::-1] if mirrored else P.keys
     rank = {x: i for i, x in enumerate(keys)}
-    return tuple(
-        (keys[c], pts[t][1]) for c, t in _sweep_up([rank[x] for x, _ in pts])
-    )
+    return tuple((keys[c], ys[t]) for c, t in _sweep_up([rank[x] for x in P.xs]))
 
 
 def sweep_add_up(P: PointSet) -> SweepOutput:

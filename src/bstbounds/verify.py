@@ -65,7 +65,7 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     fb = funnel.funnel_bound(P)
     fb_rev = funnel.funnel_bound_fast(time_reverse(P))
     runs: list[int] = []
-    funnel.move_to_root(P.by_y, runs_out=runs)
+    funnel.move_to_root(zip(P.xs, P.ys), runs_out=runs)
     m = len(P)
     keys = P.keys
     n = len(keys)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import bstbounds as bb
 from bstbounds.alternation import _build_tree
-from bstbounds.geometry import Point, PointSet, hflip, require_distinct_y
+from bstbounds.geometry import ParseError, Point, PointSet, hflip, require_distinct_y
 from bstbounds.mixing import merged_blocks
 
 # Trace with a repeated key; its alternation value for the five-leaf
@@ -65,7 +65,7 @@ WORKED_EXAMPLES = [
 
 def pointset_of_trace(keys: list[int]) -> PointSet:
     """The frozenset construction of a trace's point set, kept as an
-    oracle for ``from_trace``, which stores the points in time order."""
+    oracle for ``from_trace``, which stores the key column as it is."""
     return PointSet((x, i) for i, x in enumerate(keys, start=1))
 
 
@@ -173,6 +173,49 @@ def zrects_forced_roles(P: PointSet) -> list:
                 found.append(bb.ZRect((px, py), (qx, qy), (rx, ry), (sx, sy)))
     found.sort()
     return found
+
+
+def alt_bound_filtered(P: PointSet, tree: bb.Tree) -> int:
+    """Alternation bound by one filtered copy of the keys per tree node,
+    kept as an oracle for ``alt_bound``: at every internal node, count
+    the side switches of the keys under it, then recurse into both
+    sides with the keys each side holds."""
+    require_distinct_y(P, "alt_bound_filtered")
+    assert bb.tree_leaves(tree) == list(P.keys)
+    total = 0
+    stack = [(tree, [x for x, _ in P.by_y])]
+    while stack:
+        node, xs = stack.pop()
+        if isinstance(node, int) or not xs:
+            continue
+        left, right = node
+        boundary = max(bb.tree_leaves(left))
+        last = 0
+        for x in xs:
+            side = 1 if x <= boundary else 2
+            if side != last:
+                total += 1
+                last = side
+        stack.append((left, [x for x in xs if x <= boundary]))
+        stack.append((right, [x for x in xs if x > boundary]))
+    return total
+
+
+def parse_trace_whole(text: str) -> list[int]:
+    """Trace parser over ``text.splitlines()`` in one piece, kept as an
+    oracle for the chunked ``parse_trace``."""
+    keys: list[int] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            keys.append(int(line))
+        except ValueError:
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != 1:
+                raise ParseError(f"expected one integer, got {line.strip()!r}", lineno) from None
+            raise ParseError(f"not an integer: {fields[0]!r}", lineno) from None
+    return keys
 
 
 def alt_opt_merged_table(P: PointSet) -> bb.AltWitness:

@@ -22,10 +22,12 @@ from conftest import (
     SIX_ALT,
     SIX_TRACE,
     SIX_TREE_TEXT,
+    alt_bound_filtered,
     alt_opt_interval_scan,
     alt_opt_merged_table,
     parse_tree_recursive,
     perm_pointset,
+    point_sets,
     random_tree_recursive,
     seeded_perms,
     traces,
@@ -143,6 +145,46 @@ def test_alt_rejects_mismatched_tree():
         alt_bound(P, ((1, 2), 4))
     with pytest.raises(ValueError, match="strictly increasing"):
         alt_bound(P, ((2, 1), 3))
+
+
+def _caterpillar(keys, left_gets_one):
+    return random_tree(keys, _EdgeSplit(left_gets_one))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(traces().map(from_trace), point_sets(key_span=4)),
+    st.sampled_from(["random", "balanced", "left-leaf", "right-leaf"]),
+    st.integers(0, 2**32),
+)
+def test_alt_bound_matches_filtered_oracle(P, shape, seed):
+    if not len(P):
+        return
+    keys = list(P.keys)
+    if shape == "random":
+        tree = random_tree(keys, random.Random(seed))
+    elif shape == "balanced":
+        tree = balanced_tree(keys)
+    else:
+        tree = _caterpillar(keys, shape == "left-leaf")
+    assert alt_bound(P, tree) == alt_bound_filtered(P, tree)
+
+
+def test_alt_bound_matches_filtered_oracle_on_seeded_traces():
+    rng = random.Random(707)
+    for _ in range(60):
+        n = rng.randint(1, 40)
+        P = from_trace([rng.randint(1, n) for _ in range(rng.randint(1, 300))])
+        keys = list(P.keys)
+        for tree in (
+            random_tree(keys, rng),
+            _caterpillar(keys, True),
+            _caterpillar(keys, False),
+        ):
+            assert alt_bound(P, tree) == alt_bound_filtered(P, tree)
+    sep = from_trace(bb.separation_sequence(bb.SeparationParams(2)))
+    tree = balanced_tree(sep.keys)
+    assert alt_bound(sep, tree) == alt_bound_filtered(sep, tree)
 
 
 def test_alt_opt_small_cases():

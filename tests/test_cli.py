@@ -11,7 +11,7 @@ import bstbounds as bb
 import bstbounds.alternation
 import bstbounds.funnel
 import bstbounds.sweep
-from bstbounds import cli
+from bstbounds import cli, geometry
 from bstbounds.cli import _detect_format, compute_bounds, load_pointset, main
 from bstbounds.geometry import (
     ParseError,
@@ -214,6 +214,32 @@ def test_non_utf8_input_is_a_parse_error(capsys, tmp_path, monkeypatch, data, li
     else:
         assert code == 2
         assert err == f"bstbounds: parse error: line {line}: not UTF-8 text\n"
+
+
+@pytest.mark.parametrize("stdin", [False, True])
+def test_input_over_the_memory_cap_is_refused(capsys, tmp_path, monkeypatch, stdin):
+    # A cap of 12 bytes: the 12-byte input loads, one byte more is refused
+    # before it is decoded (the extra byte is not UTF-8).
+    per_byte = cli._PEAK_BYTES_PER_INPUT_BYTE
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 12 * per_byte + per_byte - 1)
+    for data, code_wanted in [(b"3\n1\n2\n10\n11\n", 0), (b"3\n1\n2\n10\n11\n\xff", 1)]:
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            source = "-"
+        else:
+            path = tmp_path / "in.txt"
+            path.write_bytes(data)
+            source = str(path)
+        code, out, err = run(capsys, "compute", source, "--bounds", "funnel")
+        assert code == code_wanted
+        if code_wanted == 0:
+            assert (out, err) == ("funnel\t5\n", "")
+        else:
+            assert out == ""
+            assert err == (
+                f"bstbounds: input of 13 bytes exceeds the cap of 12 bytes "
+                f"({per_byte} bytes of memory per input byte)\n"
+            )
 
 
 @pytest.mark.parametrize(
@@ -536,6 +562,27 @@ def test_parse_errors_name_the_line(capsys, tmp_path, text, message):
     assert err == f"bstbounds: parse error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"1\r\n2\r\n\r\n3 4\n5\n", "line 4: mixed trace and point-set lines"),
+        (b"1 1\r2 2\n\x1c3\n", "line 4: mixed trace and point-set lines"),
+        (b"1\r\n22\r\n\r\n333\n\xff\n", "line 5: not UTF-8 text"),
+        (b"1\r\n22\r333\x1c4\xc3", "line 4: not UTF-8 text"),
+    ],
+)
+def test_error_lines_are_found_piece_by_piece(capsys, tmp_path, monkeypatch, data, message):
+    # The faulty line is looked up in small pieces of the text, not in
+    # one split of all of it; its number and text must not change.
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    for chunk in (1, 2, 3, 5, 1 << 16):
+        monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        code, out, err = run(capsys, "compute", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"bstbounds: parse error: {message}\n"
+
+
 def test_detect_format_reads_only_to_the_first_data_line():
     # The first data line fixes the format even when later lines disagree.
     assert _detect_format("# x\n\n5\n1 2\n") == "trace"
@@ -573,12 +620,17 @@ def test_compute_on_a_trace_builds_no_frozenset_and_sorts_nothing(
         return real_compute(P, *args)
 
     monkeypatch.setattr(cli, "compute_bounds", capturing)
-    code, out, _ = run(capsys, "compute", trace_file, "--bounds", "funnel,alt")
-    assert code == 0
-    assert out == "funnel\t8\nalt\t12\n"
-    (P,) = loaded
-    assert sorted_sets == []
-    assert "points" not in vars(P)
+    for bounds, expected in [
+        ("funnel,alt", "funnel\t8\nalt\t12\n"),
+        ("alt-opt", "alt-opt\t12\n# alt-opt tree: (1 ((2 3) (4 5)))\n"),
+    ]:
+        code, out, _ = run(capsys, "compute", trace_file, "--bounds", bounds)
+        assert code == 0
+        assert out == expected
+        P = loaded.pop()
+        assert sorted_sets == []
+        assert "points" not in vars(P)
+        assert "by_y" not in vars(P)
 
 
 # Grammar for the fuzz of ``main``.  File bytes mix well-formed lines

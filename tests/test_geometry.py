@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bstbounds as bb
+from bstbounds import geometry
 from bstbounds.geometry import (
     ParseError,
     PointSet,
@@ -16,7 +17,7 @@ from bstbounds.geometry import (
     time_reverse,
 )
 
-from conftest import point_sets, pointset_of_trace
+from conftest import parse_trace_whole, point_sets, pointset_of_trace
 
 
 def test_from_trace():
@@ -38,6 +39,9 @@ def test_from_trace_matches_frozenset_construction(keys):
     assert len(fresh()) == len(old)
     assert sorted(fresh()) == sorted(old)
     assert fresh().by_y == old.by_y
+    assert list(fresh().xs) == list(old.xs) == keys
+    assert list(fresh().ys) == list(old.ys) == list(range(1, len(keys) + 1))
+    assert list(fresh()) == old.by_y
     assert fresh().keys == tuple(sorted(set(keys)))
     assert fresh().has_distinct_x == old.has_distinct_x
     assert fresh().has_distinct_y == old.has_distinct_y
@@ -46,7 +50,9 @@ def test_from_trace_matches_frozenset_construction(keys):
         assert op(fresh()) == op(old)
         assert op(fresh()).by_y == op(old).by_y
     P = fresh()
-    len(P), list(P), P.by_y, P.keys, P.has_distinct_x, P.has_distinct_y
+    len(P), list(P), P.keys, P.has_distinct_x, P.has_distinct_y
+    assert "by_y" not in vars(P)
+    assert P.by_y == old.by_y
     serialize_pointset(P), rotate90(P), hflip(P), time_reverse(P)
     assert "points" not in vars(P)
     assert fresh() == old and old == fresh()
@@ -139,6 +145,43 @@ def test_parsers_quote_a_line_of_the_other_width(parse, text, message):
     with pytest.raises(ParseError) as exc:
         parse(text)
     assert str(exc.value) == message
+
+
+# Line pieces as ``str.splitlines`` sees them: every break it knows
+# that a trace may hold ('\r\n' built from '\r' and '\n' too),
+# separators that are whitespace but no break, and lines of each kind.
+_PARSE_PIECES = st.sampled_from(
+    ["1", "-4", "#c", "x", "1 2", "", "\n", "\r\n", "\r", "\x1c", "\x85", " ", "\t"]
+)
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=400)
+@given(st.lists(_PARSE_PIECES, max_size=30).map("".join), st.integers(1, 8))
+def test_chunked_parse_matches_whole_text_parse(text, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_CHUNK", chunk)
+        got = _parse_outcome(parse_trace, text)
+        pointset = _parse_outcome(parse_pointset, text)
+    assert got == _parse_outcome(parse_trace_whole, text)
+    assert pointset == _parse_outcome(parse_pointset, text)
+
+
+def test_parse_trace_spans_default_chunks():
+    keys = list(range(-3, 40_000))
+    text = "\r\n".join(map(str, keys)) + "\r\nx\n"
+    assert len(text) > 3 * geometry._CHUNK
+    with pytest.raises(ParseError) as exc:
+        parse_trace(text)
+    assert (str(exc.value), exc.value.line) == _parse_outcome(parse_trace_whole, text)
+    assert exc.value.line == len(keys) + 1
+    assert parse_trace(text[: -len("x\n")]) == keys
 
 
 @given(point_sets())
