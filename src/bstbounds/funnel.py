@@ -43,34 +43,34 @@ class FunnelView(NamedTuple):
 def funnel_of(P: PointSet, p: Point) -> FunnelView:
     """Exact left and right funnel of p within P.
 
-    One descending-y scan from p's place in ``by_y`` suffices: a point
-    enters the left funnel exactly when it raises the running maximum x
-    seen on p's left (symmetrically with the minimum on the right), and
-    a point sharing p's x blocks everything below it on both sides.
+    One descending-y scan of the columns from p's row suffices: a point
+    enters the left funnel (and only then becomes a tuple) exactly when
+    it raises the running maximum x seen on p's left (symmetrically with
+    the minimum on the right), and a point sharing p's x blocks
+    everything below it on both sides.
     """
     require_distinct_y(P, "funnel_of")
-    by_y = P.by_y
+    xs, ys = P.xs, P.ys
     px, py = p
-    t = bisect_left(by_y, py, key=lambda q: q[1])
-    if t == len(by_y) or by_y[t] != p:
+    t = bisect_left(ys, py)
+    if t == len(ys) or ys[t] != py or xs[t] != px:
         raise ValueError(f"funnel_of: {p} not in the point set")
     left: list[Point] = []
     right: list[Point] = []
     hi: int | None = None
     lo: int | None = None
     for u in range(t - 1, -1, -1):
-        q = by_y[u]
-        qx = q[0]
+        qx = xs[u]
         if qx < px:
             if hi is None or qx > hi:
                 hi = qx
-                left.append(q)
+                left.append((qx, ys[u]))
                 if hi >= px - 1 and lo is not None and lo <= px + 1:
                     break
         elif qx > px:
             if lo is None or qx < lo:
                 lo = qx
-                right.append(q)
+                right.append((qx, ys[u]))
                 if lo <= px + 1 and hi is not None and hi >= px - 1:
                     break
         else:
@@ -93,7 +93,7 @@ def funnel_bound(P: PointSet) -> int:
     is the fast path.
     """
     require_distinct_y(P, "funnel_bound")
-    return sum(f_value(P, p) for p in P.by_y)
+    return sum(f_value(P, p) for p in P)
 
 
 class ZRect(NamedTuple):

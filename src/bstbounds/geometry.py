@@ -5,14 +5,15 @@ becomes the point (x_i, i), with keys on the horizontal axis and time on
 the vertical axis.  All coordinates are plain Python integers, so the
 transforms below (which negate coordinates) are exact.
 
-A ``PointSet`` built from a trace is stored as its two columns: ``xs``,
-the parsed key list itself, and ``ys``, the times ``range(1, m + 1)``.
-Every bound kernel reads the columns as they are, so a trace is read,
-checked and ordered exactly once, costs one list pointer per access
-(~8 B; a ``(x, y)`` tuple per access cost ~97 B more) and is never
-re-sorted.  The time-ordered point list ``by_y`` and the frozenset
+Every ``PointSet`` is stored as its two columns ``xs`` and ``ys``, the
+points in ascending (y, x) order, which every bound kernel reads as they
+are.  A trace adopts its key list and ``range(1, m + 1)``: one list
+pointer per access (~8 B; a ``(x, y)`` tuple cost ~97 B more), never
+sorted.  A point-set file is sorted once as it is parsed, and so is any
+rotation; time reversal and the key mirror of a set with distinct y map
+the columns.  The time-ordered point list ``by_y`` and the frozenset
 behind set equality, hashing and membership are built lazily, only when
-something asks for points.
+something asks for them.
 
 The parsers (and the CLI, when it looks up a faulty line) split text
 with ``line_chunks``, about ``_CHUNK`` characters at a time, each piece
@@ -41,21 +42,24 @@ class ParseError(ValueError):
 class PointSet:
     """Immutable finite set of integer points with set equality.
 
-    Storage is the columns ``xs``/``ys`` (keys and times, in time order)
-    when the set was built from a trace, and the frozenset ``points``
-    otherwise.  Everything else is derived on first use and cached:
-    ``by_y`` zips the columns of a trace and sorts the frozenset of a
-    point set, and a point set takes its columns from ``by_y``.  Only
-    ``==``, ``hash`` and ``in`` need the frozenset; length, iteration
-    and ``keys`` read the columns when they are already there.
+    Stored as the columns ``xs``/``ys``, the points in ascending (y, x)
+    order, each once: for a trace, the keys and the times.
+    ``PointSet(points)`` de-duplicates and sorts; builders whose points
+    come in that order adopt their columns through ``_columns``.  Only
+    ``==``, ``hash`` and ``in`` need the frozenset ``points``.
 
     Duplicate y-coordinates are representable (rotating a set that has
     repeated x produces them), but every bound computation refuses such
     sets; check ``has_distinct_y`` / ``has_distinct_x`` before use.
     """
 
+    xs: Sequence[int]
+    ys: Sequence[int]
+
     def __init__(self, points: Iterable[Point] = ()):
-        self.points = frozenset((int(x), int(y)) for x, y in points)
+        ordered = sorted({(int(y), int(x)) for x, y in points})
+        self.xs = [x for _, x in ordered]
+        self.ys = [y for y, _ in ordered]
 
     @cached_property
     def points(self) -> frozenset[Point]:
@@ -64,56 +68,50 @@ class PointSet:
     @cached_property
     def by_y(self) -> list[Point]:
         """Points ordered by ascending y (chronological order)."""
-        if "xs" in self.__dict__:
-            return list(zip(self.xs, self.ys))
-        return sorted(self.points, key=lambda p: (p[1], p[0]))
-
-    @cached_property
-    def xs(self) -> Sequence[int]:
-        """The x-coordinates in ``by_y`` order: the keys in time order."""
-        return [x for x, _ in self.by_y]
-
-    @cached_property
-    def ys(self) -> Sequence[int]:
-        """The y-coordinates in ``by_y`` order, ascending."""
-        return [y for _, y in self.by_y]
+        return list(zip(self.xs, self.ys))
 
     @cached_property
     def keys(self) -> tuple[int, ...]:
         """The distinct x-coordinates, ascending."""
-        if "xs" in self.__dict__:
-            return tuple(sorted(set(self.xs)))
-        return tuple(sorted({x for x, _ in self.points}))
+        return tuple(sorted(set(self.xs)))
 
     @cached_property
     def has_distinct_y(self) -> bool:
-        return len({y for _, y in self}) == len(self)
+        return len(set(self.ys)) == len(self)
 
     @cached_property
     def has_distinct_x(self) -> bool:
         return len(self.keys) == len(self)
 
     def __len__(self) -> int:
-        return len(self.xs) if "xs" in self.__dict__ else len(self.points)
+        return len(self.ys)
 
     def __iter__(self) -> Iterator[Point]:
-        if "xs" in self.__dict__:
-            return zip(self.xs, self.ys)
-        return iter(self.points)
+        return zip(self.xs, self.ys)
 
     def __contains__(self, p: object) -> bool:
         return p in self.points
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PointSet):
-            return self.points == other.points
+            return self is other or self.points == other.points
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash(self.points)
 
     def __repr__(self) -> str:
-        return f"PointSet({self.by_y!r})"
+        return f"PointSet({list(self)!r})"
+
+
+def _columns(xs: Sequence[int], ys: Sequence[int]) -> PointSet:
+    """The point set that adopts ``xs`` and ``ys`` as they are, with no
+    copy or check: ``ys`` must strictly ascend (distinct y, (y, x) order)."""
+    P = PointSet.__new__(PointSet)
+    P.xs = xs
+    P.ys = ys
+    P.has_distinct_y = True
+    return P
 
 
 def require_distinct_y(P: PointSet, op: str) -> None:
@@ -131,19 +129,17 @@ def from_trace(keys: Sequence[int]) -> PointSet:
     """Geometric view of a trace: access i of key x becomes point (x, i).
 
     ``keys`` itself becomes the column ``xs`` (pass a list that nothing
-    mutates afterwards) and ``range(1, m + 1)`` the column ``ys``; times
-    are distinct by construction, so nothing is copied, sorted or checked.
+    mutates afterwards) and ``range(1, m + 1)`` the column ``ys``.
     """
-    P = PointSet.__new__(PointSet)
-    P.xs = keys
-    P.ys = range(1, len(keys) + 1)
-    P.has_distinct_y = True
-    return P
+    return _columns(keys, range(1, len(keys) + 1))
 
 
 def time_reverse(P: PointSet) -> PointSet:
-    """Flip time: (x, y) -> (x, -y).  Involutive."""
-    return PointSet((x, -y) for x, y in P)
+    """Flip time: (x, y) -> (x, -y).  Involutive.  With distinct y the
+    reversed columns are in (y, x) order already."""
+    if not P.has_distinct_y:
+        return PointSet((x, -y) for x, y in P)
+    return _columns(P.xs[::-1], [-y for y in reversed(P.ys)])
 
 
 def rotate90(P: PointSet) -> PointSet:
@@ -156,8 +152,11 @@ def rotate90(P: PointSet) -> PointSet:
 
 
 def hflip(P: PointSet) -> PointSet:
-    """Mirror keys: (x, y) -> (-x, y).  Involutive."""
-    return PointSet((-x, y) for x, y in P)
+    """Mirror keys: (x, y) -> (-x, y).  Involutive.  With distinct y the
+    order is by y alone, which the mirror keeps."""
+    if not P.has_distinct_y:
+        return PointSet((-x, y) for x, y in P)
+    return _columns([-x for x in P.xs], P.ys)
 
 
 _CHUNK = 1 << 16  # characters split into lines at a time
@@ -223,9 +222,9 @@ def parse_pointset(text: str) -> PointSet:
     """Parse a point-set file: one `<x> <y>` pair per line, distinct y.
 
     Blank lines and lines whose first field starts with '#' are skipped.
+    Sorting the distinct y gives the columns their order.
     """
-    points: list[Point] = []
-    seen_y: dict[int, int] = {}
+    seen_y: dict[int, tuple[int, int]] = {}  # y -> (its line, x)
     for first, lines in line_chunks(text):
         for lineno, line in enumerate(lines, start=first):
             fields = line.split()
@@ -239,11 +238,11 @@ def parse_pointset(text: str) -> PointSet:
                 raise ParseError(f"not an integer pair: {line.strip()!r}", lineno) from None
             if y in seen_y:
                 raise ParseError(
-                    f"duplicate y-coordinate {y} (first seen on line {seen_y[y]})", lineno
+                    f"duplicate y-coordinate {y} (first seen on line {seen_y[y][0]})", lineno
                 )
-            seen_y[y] = lineno
-            points.append((x, y))
-    return PointSet(points)
+            seen_y[y] = lineno, x
+    ys = sorted(seen_y)
+    return _columns([seen_y[y][1] for y in ys], ys)
 
 
 def serialize_trace(keys: Sequence[int]) -> str:
@@ -252,4 +251,4 @@ def serialize_trace(keys: Sequence[int]) -> str:
 
 def serialize_pointset(P: PointSet) -> str:
     """One `<x> <y>` line per point, ascending y for determinism."""
-    return "".join(f"{x} {y}\n" for x, y in P.by_y)
+    return "".join(f"{x} {y}\n" for x, y in P)

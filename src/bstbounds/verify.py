@@ -95,7 +95,7 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     # Flip invariance holds pointwise, not just in the sum; the kernel's
     # sum must also equal the reference.  Flipping keeps the time order.
     flipped_runs: list[int] = []
-    funnel.move_to_root(hflip(P).by_y, runs_out=flipped_runs)
+    funnel.move_to_root(hflip(P), runs_out=flipped_runs)
     report.add(
         "funnel-hflip",
         runs == flipped_runs and fb == sum(runs),

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import random
 
+import pytest
 from hypothesis import strategies as st
 
 import bstbounds as bb
@@ -67,6 +69,23 @@ def pointset_of_trace(keys: list[int]) -> PointSet:
     """The frozenset construction of a trace's point set, kept as an
     oracle for ``from_trace``, which stores the key column as it is."""
     return PointSet((x, i) for i, x in enumerate(keys, start=1))
+
+
+@pytest.fixture
+def by_y_builds(monkeypatch) -> list[PointSet]:
+    """The point sets whose cached ``by_y`` gets built during the test,
+    in order; the property stays cached, as it is outside the test."""
+    built: list[PointSet] = []
+    real = PointSet.by_y.func
+
+    def spying(P):
+        built.append(P)
+        return real(P)
+
+    spy = functools.cached_property(spying)
+    spy.__set_name__(PointSet, "by_y")
+    monkeypatch.setattr(PointSet, "by_y", spy)
+    return built
 
 
 def perm_pointset(n: int, seed: int) -> PointSet:

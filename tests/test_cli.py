@@ -1,5 +1,4 @@
 import contextlib
-import functools
 import io
 import sys
 
@@ -11,6 +10,7 @@ import bstbounds as bb
 import bstbounds.alternation
 import bstbounds.funnel
 import bstbounds.sweep
+import bstbounds.verify
 from bstbounds import cli, geometry
 from bstbounds.cli import _detect_format, compute_bounds, load_pointset, main
 from bstbounds.geometry import (
@@ -600,18 +600,8 @@ def test_detect_format_reads_only_to_the_first_data_line():
 
 
 def test_compute_on_a_trace_builds_no_frozenset_and_sorts_nothing(
-    capsys, trace_file, monkeypatch
+    capsys, trace_file, monkeypatch, by_y_builds
 ):
-    sorted_sets = []
-    real_sort = PointSet.by_y.func
-
-    def spying_sort(P):
-        sorted_sets.append(P)
-        return real_sort(P)
-
-    spy = functools.cached_property(spying_sort)
-    spy.__set_name__(PointSet, "by_y")
-    monkeypatch.setattr(PointSet, "by_y", spy)
     loaded = []
     real_compute = cli.compute_bounds
 
@@ -628,7 +618,57 @@ def test_compute_on_a_trace_builds_no_frozenset_and_sorts_nothing(
         assert code == 0
         assert out == expected
         P = loaded.pop()
-        assert sorted_sets == []
+        assert by_y_builds == []
+        assert "points" not in vars(P)
+        assert "by_y" not in vars(P)
+
+
+_VERIFY_DISTINCT = "".join(
+    f"{name}\tPASS\n"
+    for name in [
+        "two-sided-domination", "funnel-hflip", "funnel-vs-zrects", "zrects-per-point",
+        "reverse-gap-3m", "zrects-rotation", "irb-charge", "added-classification",
+        "sweep-funnel-remark",
+    ]
+) + "irb-up-down-gap\tINFO\t1\n"
+_VERIFY_REPEATED = "two-sided-domination\tPASS\nfunnel-hflip\tPASS\n" + "".join(
+    f"{name}\tSKIP\tinput has repeated keys\n"
+    for name in [
+        "funnel-vs-zrects", "zrects-per-point", "reverse-gap-3m", "zrects-rotation",
+        "irb-charge", "added-classification", "sweep-funnel-remark",
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "keys, expected",
+    [([5, 2, 8, 1, 9, 3, 7, 4, 6], _VERIFY_DISTINCT), (SIX_TRACE, _VERIFY_REPEATED)],
+    ids=["distinct-keys", "repeated-keys"],
+)
+def test_verify_on_a_trace_builds_no_frozenset_and_no_by_y(
+    capsys, tmp_path, monkeypatch, by_y_builds, keys, expected
+):
+    # The input and its time reversal and key mirror stay columns: the
+    # transforms map them, and every check reads them as they are.
+    path = tmp_path / "trace.txt"
+    path.write_text("".join(f"{x}\n" for x in keys))
+    kept = []
+
+    def keeping(fn):
+        def kept_result(*args):
+            kept.append(fn(*args))
+            return kept[-1]
+
+        return kept_result
+
+    monkeypatch.setattr(cli, "load_pointset", keeping(cli.load_pointset))
+    for name in ("time_reverse", "hflip"):
+        monkeypatch.setattr(bstbounds.verify, name, keeping(getattr(bstbounds.verify, name)))
+    code, out, _ = run(capsys, "verify", str(path), "--level", "full")
+    assert (code, out) == (0, expected)
+    assert len(kept) == 3
+    assert by_y_builds == []
+    for P in kept:
         assert "points" not in vars(P)
         assert "by_y" not in vars(P)
 

@@ -109,6 +109,60 @@ def test_reverse_is_flip_of_half_turn(P):
     assert time_reverse(P) == hflip(rotate90(rotate90(P)))
 
 
+# Each transform as a map of one point, for the sorted oracle below.
+_POINT_MAPS = {
+    rotate90: lambda p: (-p[1], p[0]),
+    hflip: lambda p: (-p[0], p[1]),
+    time_reverse: lambda p: (p[0], -p[1]),
+}
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _built_sets(draw):
+    """(set, its points): a set from each builder, with repeated x,
+    repeated y (any list of points, and rotations of repeated-key
+    traces below), negative coordinates and the empty set."""
+    kind = draw(st.sampled_from(["points", "trace", "parsed"]))
+    if kind == "points":
+        points = draw(st.lists(st.tuples(_SMALL, _SMALL), max_size=12))
+        return PointSet(points), points
+    if kind == "trace":
+        keys = draw(st.lists(_SMALL, max_size=12))
+        return from_trace(keys), list(zip(keys, range(1, len(keys) + 1)))
+    ys = draw(st.lists(st.integers(-20, 20), unique=True, max_size=12))
+    points = [(draw(_SMALL), y) for y in ys]
+    return parse_pointset("".join(f"{x} {y}\n" for x, y in points)), points
+
+
+def _assert_columns_are_sorted_oracle(P, points):
+    expected = sorted(frozenset(points), key=lambda p: (p[1], p[0]))
+    assert list(P.xs) == [x for x, _ in expected]
+    assert list(P.ys) == [y for _, y in expected]
+    assert list(P) == expected and len(P) == len(expected)
+    assert P.keys == tuple(sorted({x for x, _ in expected}))
+    assert P.has_distinct_y == (len({y for _, y in expected}) == len(expected))
+    assert P.has_distinct_x == (len(P.keys) == len(expected))
+    assert P.by_y == expected
+    assert P == PointSet(expected) and PointSet(expected) == P
+    assert P.points == frozenset(expected)
+    assert hash(P) == hash(frozenset(expected))
+
+
+@given(_built_sets())
+def test_columns_match_a_sorted_oracle(built):
+    P, points = built
+    _assert_columns_are_sorted_oracle(P, points)
+    for first in [None, *_POINT_MAPS]:
+        for second in _POINT_MAPS:
+            Q, mapped = P, points
+            for op in (first, second) if first else (second,):
+                Q, mapped = op(Q), [_POINT_MAPS[op](p) for p in mapped]
+            _assert_columns_are_sorted_oracle(Q, mapped)
+    # No transform changed P, although hflip shares its ys column.
+    _assert_columns_are_sorted_oracle(P, points)
+
+
 def test_parse_pointset():
     assert parse_pointset("4 1\n1 2\n") == PointSet([(4, 1), (1, 2)])
     assert parse_pointset("# comment\n\n 4 1 \n") == PointSet([(4, 1)])
