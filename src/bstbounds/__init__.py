@@ -1,104 +1,75 @@
-"""Combinatorial lower bounds on binary-search-tree cost for access traces."""
+"""Combinatorial lower bounds on binary-search-tree cost for access traces.
 
-from .alternation import (
-    AltWitness,
-    Tree,
-    alt_bound,
-    alt_brute,
-    alt_opt,
-    balanced_tree,
-    enumerate_trees,
-    format_tree,
-    parse_tree,
-    random_tree,
-    tree_leaves,
-)
-from .funnel import FunnelView, f_value, funnel_bound, funnel_bound_fast, funnel_of
-from .generators import (
-    SeparationParams,
-    bit_reversal,
-    random_permutation,
-    sep_block,
-    separation_sequence,
-)
-from .geometry import (
-    ParseError,
-    Point,
-    PointSet,
-    from_trace,
-    hflip,
-    parse_pointset,
-    parse_trace,
-    rotate90,
-    serialize_pointset,
-    serialize_trace,
-    time_reverse,
-)
-from .mixing import blocks, mix, mix_value
-from .sweep import (
-    AddedPointType,
-    ClassificationError,
-    SweepOutput,
-    classify_added,
-    irb_down,
-    irb_up,
-    serialize_sweep,
-    sweep_add_down,
-    sweep_add_up,
-)
-from .verify import CheckResult, VerifyReport, run_checks
-from .zrect import ZRect, ZRectResult, is_zrect, zrects, zrects_brute
+Each public name loads its module on first use: importing the package
+loads none of its modules, and importing one loads only what it imports.
+"""
 
-__all__ = [
-    "AddedPointType",
-    "AltWitness",
-    "CheckResult",
-    "ClassificationError",
-    "FunnelView",
-    "ParseError",
-    "Point",
-    "PointSet",
-    "SeparationParams",
-    "SweepOutput",
-    "Tree",
-    "VerifyReport",
-    "ZRect",
-    "ZRectResult",
-    "alt_bound",
-    "alt_brute",
-    "alt_opt",
-    "balanced_tree",
-    "bit_reversal",
-    "blocks",
-    "classify_added",
-    "enumerate_trees",
-    "f_value",
-    "format_tree",
-    "from_trace",
-    "funnel_bound",
-    "funnel_bound_fast",
-    "funnel_of",
-    "hflip",
-    "irb_down",
-    "irb_up",
-    "is_zrect",
-    "mix",
-    "mix_value",
-    "parse_pointset",
-    "parse_trace",
-    "parse_tree",
-    "random_permutation",
-    "random_tree",
-    "rotate90",
-    "sep_block",
-    "separation_sequence",
-    "serialize_pointset",
-    "serialize_sweep",
-    "serialize_trace",
-    "sweep_add_down",
-    "sweep_add_up",
-    "time_reverse",
-    "tree_leaves",
-    "zrects",
-    "zrects_brute",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "alternation": (
+        "AltWitness",
+        "Tree",
+        "alt_bound",
+        "alt_brute",
+        "alt_opt",
+        "balanced_tree",
+        "enumerate_trees",
+        "format_tree",
+        "parse_tree",
+        "random_tree",
+        "tree_leaves",
+    ),
+    "funnel": ("FunnelView", "ZRect", "f_value", "funnel_bound", "funnel_bound_fast", "funnel_of"),
+    "generators": (
+        "SeparationParams",
+        "bit_reversal",
+        "random_permutation",
+        "sep_block",
+        "separation_sequence",
+    ),
+    "geometry": (
+        "ParseError",
+        "Point",
+        "PointSet",
+        "from_trace",
+        "hflip",
+        "parse_pointset",
+        "parse_trace",
+        "rotate90",
+        "serialize_pointset",
+        "serialize_trace",
+        "time_reverse",
+    ),
+    "mixing": ("blocks", "mix", "mix_value"),
+    "sweep": (
+        "AddedPointType",
+        "ClassificationError",
+        "SweepOutput",
+        "classify_added",
+        "irb_down",
+        "irb_up",
+        "serialize_sweep",
+        "sweep_add_down",
+        "sweep_add_up",
+    ),
+    "verify": ("CheckResult", "VerifyReport", "run_checks"),
+    "zrect": ("ZRectResult", "is_zrect", "zrects", "zrects_brute"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# ``run_checks`` resolves too, but is left out of ``import *``.
+__all__ = sorted(_MODULE_OF.keys() - {"run_checks"})
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

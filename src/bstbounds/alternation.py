@@ -8,7 +8,9 @@ form writes a leaf as ``<key>`` and an internal node as
 
 The bound charges, at every internal node, the number of times the trace
 switches between accessing keys of the left and of the right subtree,
-and recurses into both sides.
+and recurses into both sides.  ``alt_opt`` maximizes it over all trees
+by an interval DP, whose switch counts for every key interval and split
+come from the funnel pairs of one move-to-root walk over the key ranks.
 
 Every tree walk here keeps its own stack instead of recursing, so a
 reference tree may be as deep as it has keys (a caterpillar).
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import random
 from itertools import accumulate
+from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .geometry import PointSet, require_distinct_y
@@ -176,20 +179,31 @@ def alt_opt(P: PointSet) -> AltWitness:
 
     where crossings(i..j, k) counts consecutive accesses, among those to
     keys i..j, whose ranks a < b satisfy a <= k < b; the 1 is the first
-    run, since both sides hold an accessed key.  A difference array with
-    +1 at a and -1 at b for every such pair gives the count for every k
-    at once as its prefix sums.
+    run, since both sides hold an accessed key.
 
-    Consecutive accesses to one key never cross, so they are collapsed
-    first.  The left end i runs down from n-1, and the accesses to keys
-    i..n-1 stay linked in time order, key i's being linked in as i is
-    reached.  Then, on a copy of the links, j runs down from n-1: the
-    prefix sums for i..j are saved and key j's accesses are unlinked.
-    Each unlink removes the pairs (prev, node) and (node, next) and adds
-    (prev, next), so the difference array follows without a rescan
-    (Knuth's dancing links).  The recurrence then runs j upward over the
-    saved rows.  Cost O(n * m + n^3) time and O(n^2 + m) memory for n
-    distinct keys and m accesses.
+    Two accesses of ranks a < b are consecutive among the accesses to
+    keys i..j exactly when i <= a, b <= j and no access between them has
+    a rank in [i, j].  Then no access between them has a rank in [a, b]
+    either: they span an empty rectangle, so the earlier one is in the
+    later one's funnel (Wilber's funnel pairs).  With L the largest rank
+    below a and R the smallest rank above b among the accesses between
+    them (-1 and n for none), the pair is consecutive exactly when
+    L < i <= a and b <= j < R, so it adds 1 to crossings on the box
+    (L, a] x [b, R) x [a, b) of (i, j, k).  A move-to-root walk over the
+    ranks meets every funnel pair, with L and R the keys of the left and
+    right tails of its unzip when it reaches the earlier access.  Equal
+    boxes are counted together.
+
+    The left end i runs down from n-1.  A box enters when i reaches a
+    and leaves when i reaches L; while in, it holds its four corners in
+    a 2-D difference table over (j, k).  For j ascending, the prefix
+    sums over k of the table's row j, added to the crossings of i..j-1,
+    give those of i..j.  Cost O(P + n^3) time and O(n^2 + boxes) memory,
+    for n distinct keys and P funnel pairs (Σ funnel sizes).
+
+    The walk is kept apart from ``funnel.move_to_root``, which counts
+    runs: reporting each node from that kernel's inner loops would slow
+    the funnel bound.
 
     Ties pick the leftmost split, so the witness is deterministic.
     """
@@ -199,91 +213,79 @@ def alt_opt(P: PointSet) -> AltWitness:
     keys = P.keys
     n = len(keys)
     index = {k: i for i, k in enumerate(keys)}
-    ranks: list[int] = []
-    for x in P.xs:
-        r = index[x]
-        if not ranks or ranks[-1] != r:
-            ranks.append(r)
-    positions: list[list[int]] = [[] for _ in range(n)]
-    for t, r in enumerate(ranks):
-        positions[r].append(t)
 
-    # The accesses to keys i..n-1 in time order (-1 ends the list), and
-    # the difference array of their crossing pairs.  A pair of equal
-    # ranks adds and subtracts at one index, so it counts nothing.
-    linked_prev = [-1] * len(ranks)
-    linked_next = [-1] * len(ranks)
-    linked_diff = [0] * n
-    head = -1
+    # Each key is one node, its rank, and -1 is no node.  Slot n heads
+    # the unzip: its right link roots the left part and its left link the
+    # right part, and the tails -1 (by Python's negative index) and n,
+    # which stand for none, write there.
+    left = [-1] * (n + 1)
+    right = [-1] * (n + 1)
+    root = -1
+    entering: list[dict[tuple[int, int, int], int]] = [{} for _ in range(n)]
+    for x in P.xs:
+        x = index[x]
+        node, L, R = root, -1, n
+        here = entering[x]  # the boxes with a = x
+        while node >= 0:
+            if x < node:
+                box = (L, node, R)
+                here[box] = here.get(box, 0) + 1
+                left[R] = node
+                R = node
+                node = left[node]
+            elif x > node:
+                box = (L, x, R)
+                there = entering[node]
+                there[box] = there.get(box, 0) + 1
+                right[L] = node
+                L = node
+                node = right[node]
+            else:  # an earlier access of x blocks everything below it
+                right[L] = left[node]
+                left[R] = right[node]
+                break
+        else:
+            right[L] = -1
+            left[R] = -1
+        left[x], right[x] = right[n], left[n]
+        root = x
+
+    # Row n of the table takes the corners at R = n and is never read.
+    table = [[0] * n for _ in range(n + 1)]
+    leaving: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
     value = [[0] * n for _ in range(n)]
+    by_end = [[0] * n for _ in range(n)]  # by_end[j][i] = value[i][j]
     split = [[0] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        # Link key i in; an access's predecessor is the last earlier
-        # access to a key >= i.
-        for t in positions[i]:
-            p = t - 1
-            while p >= 0 and ranks[p] < i:
-                p -= 1
-            if p < 0:
-                q, head = head, t
-            else:
-                q = linked_next[p]
-                linked_next[p] = t
-            linked_prev[t], linked_next[t] = p, q
-            if q >= 0:
-                linked_prev[q] = t
-                b = ranks[q]
-                linked_diff[i] += 1
-                linked_diff[b] -= 1
-            if p >= 0:
-                a = ranks[p]
-                linked_diff[i] += 1
-                linked_diff[a] -= 1
-                if q >= 0:  # the pair (p, q) is split
-                    if a < b:
-                        linked_diff[a] -= 1
-                        linked_diff[b] += 1
-                    else:
-                        linked_diff[b] -= 1
-                        linked_diff[a] += 1
+        events = leaving[i]
+        for (L, b, R), c in entering[i].items():
+            events.append((i, b, R, c))
+            if L >= 0:
+                leaving[L].append((i, b, R, -c))
+        for a, b, R, c in events:
+            row = table[b]
+            row[a] += c
+            row[b] -= c
+            row = table[R]
+            row[a] -= c
+            row[b] += c
 
-        # Unlink keys n-1..i+1 from a copy; before key j goes,
-        # rows[j][k - i] = crossings(i..j, k), as no kept rank exceeds j.
-        prev, nxt, diff = linked_prev[:], linked_next[:], linked_diff[:]
-        rows: list[list[int]] = [[] for _ in range(n)]
-        for j in range(n - 1, i, -1):
-            rows[j] = list(accumulate(diff[i:j]))
-            for t in positions[j]:
-                p, q = prev[t], nxt[t]
-                if p >= 0:
-                    nxt[p] = q
-                    a = ranks[p]
-                    diff[a] -= 1
-                    diff[j] += 1
-                if q >= 0:
-                    prev[q] = p
-                    b = ranks[q]
-                    diff[b] -= 1
-                    diff[j] += 1
-                    if p >= 0:  # the pair (p, q) is new
-                        if a < b:
-                            diff[a] += 1
-                            diff[b] -= 1
-                        else:
-                            diff[b] += 1
-                            diff[a] -= 1
-
+        # crossings[k - i] = crossings(i..j, k).  Every table row sums to
+        # 0 and ends at its own index, so crossings(i..j-1, j-1) = 0.
+        crossings: list[int] = []
         value_i, split_i = value[i], split[i]
         for j in range(i + 1, n):
-            row = rows[j]
+            crossings.append(0)
+            crossings = list(map(add, crossings, accumulate(table[j][i:j])))
+            value_j = by_end[j]
             best = -1
             best_k = i
             for k in range(i, j):
-                v = 1 + row[k - i] + value_i[k] + value[k + 1][j]
+                v = crossings[k - i] + value_i[k] + value_j[k + 1]
                 if v > best:
                     best = v
                     best_k = k
-            value_i[j] = best
+            value_i[j] = value_j[i] = 1 + best
             split_i[j] = best_k
 
     return AltWitness(value[0][n - 1], _build_tree(keys, lambda i, j: split[i][j]))

@@ -13,6 +13,11 @@ Exit codes: 0 on success, 1 when a check fails or an input is refused
 the process's memory), 2 on usage or parse errors.
 Output is tab-separated, one record per line; lines starting with
 ``#`` are commentary.
+
+Start-up is most of a small command's time, so this module imports
+only the input layer and the ``alt`` and ``funnel`` kernels up front;
+``zrect``, ``sweep``, ``generators`` and ``verify`` are imported by the
+bound or subcommand that runs them.
 """
 
 from __future__ import annotations
@@ -24,10 +29,9 @@ import os
 import resource
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
-from . import alternation, funnel, generators, sweep, verify, zrect
+from . import alternation, funnel
 from .geometry import (
     ParseError,
     PointSet,
@@ -43,6 +47,9 @@ from .geometry import (
     time_reverse,
 )
 
+if TYPE_CHECKING:
+    from . import sweep
+
 BOUND_NAMES = ("alt", "alt-opt", "funnel", "zrects", "irb-up", "irb-down")
 
 
@@ -50,8 +57,7 @@ class UsageError(ValueError):
     """Bad command line (unknown bound, invalid flag combination)."""
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     name: str
     value: int
     millis: float
@@ -90,8 +96,12 @@ def compute_bounds(
         elif name == "funnel":
             value = funnel.funnel_bound_fast(P)
         elif name == "zrects":
+            from . import zrect
+
             value = zrect.zrects(P).count
         elif name in ("irb-up", "irb-down"):
+            from . import sweep
+
             run = sweep.sweep_add_up if name == "irb-up" else sweep.sweep_add_down
             if sweeps is None:  # hold no sweep past its own count
                 value = len(run(P).added)
@@ -290,8 +300,13 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         P = load_pointset(args.input)
         entries = compute_bounds(P, bounds, tree, sweeps)
         if sweeps is not None:
+            from . import sweep
+
             out = sweeps[directions[0]]
-            types = sweep.classify_added(P, out) if out.direction == "up" else None
+            try:
+                types = sweep.classify_added(P, out) if out.direction == "up" else None
+            except sweep.ClassificationError as exc:  # exits 1, as a failed check
+                raise ValueError(str(exc)) from None
             fh.write(sweep.serialize_sweep(out, types))
     for e in entries:
         if args.tsv:
@@ -314,6 +329,8 @@ def _same_file(a: str, b: str) -> bool:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from . import generators
+
     if args.kind == "bitrev":
         if args.reps is not None:
             raise UsageError("--reps only applies to the separation sequence")
@@ -334,6 +351,8 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+
     P = load_pointset(args.input)
     report = verify.run_checks(P, level=args.level, seed=args.seed)
     for r in report.results:
@@ -366,7 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"bstbounds: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, sweep.ClassificationError) as exc:
+    except ValueError as exc:
         print(f"bstbounds: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,7 @@ the concatenated separation sequence, and seeded random permutations.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _MAX_BITREV_K = 24  # 2^24 keys is already far past desk scale
 _MAX_SEQUENCE_LEN = 100_000_000
@@ -44,8 +44,12 @@ def sep_block(i: int, k: int) -> list[int]:
     return [i + (1 << r) for r in bit_reversal(k)]
 
 
-@dataclass(frozen=True)
-class SeparationParams:
+class _SeparationFields(NamedTuple):
+    k: int
+    reps: int | None = None
+
+
+class SeparationParams(_SeparationFields):
     """Parameters of the separation sequence.
 
     With K = 2^k keys per block and n = 2^K distinct keys overall, the
@@ -53,14 +57,14 @@ class SeparationParams:
     (default n), for a total length of (n/2 + 1) * reps * K.
     """
 
-    k: int
-    reps: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k < 1:
+    def __new__(cls, k: int, reps: int | None = None):
+        if k < 1:
             raise ValueError("SeparationParams: k must be >= 1")
-        if self.reps is not None and self.reps < 1:
+        if reps is not None and reps < 1:
             raise ValueError("SeparationParams: reps must be >= 1")
+        return super().__new__(cls, k, reps)
 
     @property
     def block_len(self) -> int:

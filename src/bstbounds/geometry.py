@@ -136,10 +136,15 @@ def from_trace(keys: Sequence[int]) -> PointSet:
 
 def time_reverse(P: PointSet) -> PointSet:
     """Flip time: (x, y) -> (x, -y).  Involutive.  With distinct y the
-    reversed columns are in (y, x) order already."""
+    reversed columns are in (y, x) order already, and a trace's times
+    stay a ``range``."""
     if not P.has_distinct_y:
         return PointSet((x, -y) for x, y in P)
-    return _columns(P.xs[::-1], [-y for y in reversed(P.ys)])
+    ys = P.ys
+    if isinstance(ys, range):
+        back = ys[::-1]
+        return _columns(P.xs[::-1], range(-back.start, -back.stop, -back.step))
+    return _columns(P.xs[::-1], [-y for y in reversed(ys)])
 
 
 def rotate90(P: PointSet) -> PointSet:

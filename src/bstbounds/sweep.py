@@ -30,15 +30,13 @@ O((m + added) * log m) for m accesses.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .geometry import Point, PointSet, require_distinct_xy
 from .zrect import zrects
 
 
-@dataclass(frozen=True)
-class SweepOutput:
+class SweepOutput(NamedTuple):
     accesses: PointSet
     added: tuple[Point, ...]
     direction: str  # "up" | "down"
@@ -112,8 +110,7 @@ def irb_down(P: PointSet) -> int:
     return len(sweep_add_down(P).added)
 
 
-@dataclass(frozen=True)
-class AddedPointType:
+class AddedPointType(NamedTuple):
     """Charging class of one added point; at least one flag must hold."""
 
     point: Point

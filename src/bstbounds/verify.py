@@ -16,7 +16,7 @@ from the move-to-root kernel, whose sum must equal it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import alternation, funnel, sweep, zrect
 from .geometry import Point, PointSet, hflip, rotate90, time_reverse
@@ -27,16 +27,17 @@ SKIP = "SKIP"
 INFO = "INFO"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     detail: str = ""
 
 
-@dataclass
 class VerifyReport:
-    results: list[CheckResult] = field(default_factory=list)
+    """The results of the checks run so far, in order."""
+
+    def __init__(self, results: list[CheckResult] | None = None):
+        self.results: list[CheckResult] = [] if results is None else results
 
     @property
     def ok(self) -> bool:

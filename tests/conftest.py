@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import strategies as st
@@ -273,6 +274,115 @@ def alt_opt_merged_table(P: PointSet) -> bb.AltWitness:
         return (build(i, k), build(k + 1, j))
 
     return bb.AltWitness(value[0][n - 1], build(0, n - 1))
+
+
+def alt_opt_linked(P: PointSet) -> bb.AltWitness:
+    """Interval DP over dancing links, kept as an oracle for ``alt_opt``.
+
+    Consecutive accesses to one key are collapsed.  The left end i runs
+    down from n-1 with the accesses to keys i..n-1 linked in time order;
+    on a copy of the links, j runs down from n-1, the crossing counts of
+    i..j are saved as the prefix sums of a difference array (+1 at a,
+    -1 at b for each linked pair of ranks a < b), and key j's accesses
+    are unlinked, each unlink replacing the pairs (prev, node) and
+    (node, next) with (prev, next).  O(n * m + n^3); same recurrence and
+    leftmost-split tie rule as ``alt_opt``, so the witness tree must
+    match too.
+    """
+    require_distinct_y(P, "alt_opt")
+    if not len(P):
+        raise ValueError("alt_opt: empty point set")
+    keys = P.keys
+    n = len(keys)
+    index = {k: i for i, k in enumerate(keys)}
+    ranks: list[int] = []
+    for x in P.xs:
+        r = index[x]
+        if not ranks or ranks[-1] != r:
+            ranks.append(r)
+    positions: list[list[int]] = [[] for _ in range(n)]
+    for t, r in enumerate(ranks):
+        positions[r].append(t)
+
+    # The accesses to keys i..n-1 in time order (-1 ends the list), and
+    # the difference array of their crossing pairs.  A pair of equal
+    # ranks adds and subtracts at one index, so it counts nothing.
+    linked_prev = [-1] * len(ranks)
+    linked_next = [-1] * len(ranks)
+    linked_diff = [0] * n
+    head = -1
+    value = [[0] * n for _ in range(n)]
+    split = [[0] * n for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        # Link key i in; an access's predecessor is the last earlier
+        # access to a key >= i.
+        for t in positions[i]:
+            p = t - 1
+            while p >= 0 and ranks[p] < i:
+                p -= 1
+            if p < 0:
+                q, head = head, t
+            else:
+                q = linked_next[p]
+                linked_next[p] = t
+            linked_prev[t], linked_next[t] = p, q
+            if q >= 0:
+                linked_prev[q] = t
+                b = ranks[q]
+                linked_diff[i] += 1
+                linked_diff[b] -= 1
+            if p >= 0:
+                a = ranks[p]
+                linked_diff[i] += 1
+                linked_diff[a] -= 1
+                if q >= 0:  # the pair (p, q) is split
+                    if a < b:
+                        linked_diff[a] -= 1
+                        linked_diff[b] += 1
+                    else:
+                        linked_diff[b] -= 1
+                        linked_diff[a] += 1
+
+        # Unlink keys n-1..i+1 from a copy; before key j goes,
+        # rows[j][k - i] = crossings(i..j, k), as no kept rank exceeds j.
+        prev, nxt, diff = linked_prev[:], linked_next[:], linked_diff[:]
+        rows: list[list[int]] = [[] for _ in range(n)]
+        for j in range(n - 1, i, -1):
+            rows[j] = list(accumulate(diff[i:j]))
+            for t in positions[j]:
+                p, q = prev[t], nxt[t]
+                if p >= 0:
+                    nxt[p] = q
+                    a = ranks[p]
+                    diff[a] -= 1
+                    diff[j] += 1
+                if q >= 0:
+                    prev[q] = p
+                    b = ranks[q]
+                    diff[b] -= 1
+                    diff[j] += 1
+                    if p >= 0:  # the pair (p, q) is new
+                        if a < b:
+                            diff[a] += 1
+                            diff[b] -= 1
+                        else:
+                            diff[b] += 1
+                            diff[a] -= 1
+
+        value_i, split_i = value[i], split[i]
+        for j in range(i + 1, n):
+            row = rows[j]
+            best = -1
+            best_k = i
+            for k in range(i, j):
+                v = 1 + row[k - i] + value_i[k] + value[k + 1][j]
+                if v > best:
+                    best = v
+                    best_k = k
+            value_i[j] = best
+            split_i[j] = best_k
+
+    return bb.AltWitness(value[0][n - 1], _build_tree(keys, lambda i, j: split[i][j]))
 
 
 def alt_opt_interval_scan(P: PointSet) -> bb.AltWitness:

@@ -24,6 +24,7 @@ from conftest import (
     SIX_TREE_TEXT,
     alt_bound_filtered,
     alt_opt_interval_scan,
+    alt_opt_linked,
     alt_opt_merged_table,
     parse_tree_recursive,
     perm_pointset,
@@ -299,6 +300,27 @@ def test_alt_opt_matches_interval_scan_oracle_on_a_long_uniform_trace():
     P = from_trace([rng.randint(1, 100) for _ in range(2000)])
     assert len(P.keys) == 100
     assert alt_opt(P) == alt_opt_interval_scan(P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        traces(max_keys=10, max_size=80).map(from_trace),
+        point_sets(max_size=30, key_span=6),
+        point_sets(max_size=30, key_span=10**9),
+    )
+)
+def test_alt_opt_matches_linked_oracle(P):
+    # Value and tree, against the dancing-links kernel: repeated keys,
+    # and sparse and negative coordinates.
+    if len(P):
+        assert alt_opt(P) == alt_opt_linked(P)
+
+
+@pytest.mark.parametrize("k, reps", [(2, None), (3, 2)])
+def test_alt_opt_matches_linked_oracle_on_separation(k, reps):
+    P = from_trace(bb.separation_sequence(bb.SeparationParams(k, reps)))
+    assert alt_opt(P) == alt_opt_linked(P)
 
 
 def test_alt_opt_dominates_any_tree():

@@ -1,6 +1,9 @@
 import contextlib
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -465,6 +468,20 @@ def test_sweep_runs_once_for_sweep_to(capsys, sweep_file, tmp_path, monkeypatch,
     assert f"{bound}\t{len(expected.added)}\n" in out
 
 
+def test_classification_error_exits_1(capsys, sweep_file, tmp_path, monkeypatch):
+    def failing(P, out):
+        raise bb.ClassificationError("added point (2, 3) fits no charging type")
+
+    monkeypatch.setattr(bstbounds.sweep, "classify_added", failing)
+    dest = tmp_path / "out.sweep"
+    code, out, err = run(
+        capsys, "compute", sweep_file, "--bounds", "irb-up", "--sweep-to", str(dest)
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "bstbounds: added point (2, 3) fits no charging type\n"
+
+
 def test_unwritable_sweep_destination_fails_before_the_sweep(
     capsys, sweep_file, tmp_path, monkeypatch
 ):
@@ -772,3 +789,58 @@ def test_main_exits_with_a_documented_code(fuzz_dir, argv, data, tree):
     if bad_tree:  # refused before anything reads the input
         assert code == 2, (argv, tree, err.getvalue())
     assert "Traceback" not in err.getvalue() and "codec" not in err.getvalue(), (argv, err.getvalue())
+
+
+_MODULE_PROBE = """
+import sys
+from bstbounds.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def _modules_loaded_by(argv: list[str]) -> set[str]:
+    """The modules a fresh interpreter holds after ``main(argv)``."""
+    src = str(Path(bb.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize(
+    "argv, loaded, absent",
+    [
+        (
+            ["compute", "TRACE", "--bounds", "alt,alt-opt,funnel"],
+            ["bstbounds.alternation", "bstbounds.funnel"],
+            ["bstbounds.verify", "bstbounds.sweep", "bstbounds.generators", "bstbounds.zrect"],
+        ),
+        (
+            ["gen", "separation", "2"],
+            ["bstbounds.generators"],
+            ["bstbounds.verify", "bstbounds.sweep", "bstbounds.zrect"],
+        ),
+    ],
+    ids=["compute", "gen"],
+)
+def test_a_command_imports_only_what_it_runs(trace_file, argv, loaded, absent):
+    modules = _modules_loaded_by([trace_file if a == "TRACE" else a for a in argv])
+    assert set(loaded) <= modules
+    assert not modules & {*absent, "dataclasses"}
+
+
+def test_every_public_name_resolves():
+    for name in bb.__all__:
+        assert getattr(bb, name) is getattr(bb, name)
+    assert bb.run_checks is bstbounds.verify.run_checks
+    assert bb.ZRect is bstbounds.funnel.ZRect
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bb.no_such_name

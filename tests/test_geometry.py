@@ -76,6 +76,17 @@ def test_time_reverse():
     assert time_reverse(PointSet()) == PointSet()
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 7])
+def test_time_reverse_keeps_a_trace_range(m):
+    P = from_trace(list(range(m, 0, -1)))
+    Q = time_reverse(P)
+    assert isinstance(Q.ys, range)
+    assert list(Q.ys) == [-y for y in reversed(list(P.ys))]
+    assert list(Q.xs) == list(P.xs)[::-1]
+    back = time_reverse(Q)
+    assert isinstance(back.ys, range) and list(back.ys) == list(P.ys)
+
+
 def test_rotate90():
     assert rotate90(PointSet([(3, 1), (1, 2), (4, 3), (2, 4)])) == PointSet(
         [(-1, 3), (-2, 1), (-3, 4), (-4, 2)]
