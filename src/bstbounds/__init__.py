@@ -26,6 +26,7 @@ _EXPORTS = {
         "bit_reversal",
         "random_permutation",
         "sep_block",
+        "separation_blocks",
         "separation_sequence",
     ),
     "geometry": (

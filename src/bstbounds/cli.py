@@ -9,15 +9,17 @@ An input is a trace or a point set, as its first data line says.
 before it reads the input.
 
 Exit codes: 0 on success, 1 when a check fails or an input is refused
-(e.g. repeated keys for z-rectangle counting, or an input too large for
-the process's memory), 2 on usage or parse errors.
+(e.g. repeated keys for z-rectangle counting, an input too large for
+the process's memory, or ``alt-opt`` on more keys than its cap), 2 on
+usage or parse errors.  A reader that closes ``gen``'s output early
+ends it quietly with exit 0.
 Output is tab-separated, one record per line; lines starting with
-``#`` are commentary.
+``#`` are commentary.  ``gen`` writes its trace one block (or slice of
+keys) at a time and never holds the whole text.
 
 Start-up is most of a small command's time, so this module imports
-only the input layer and the ``alt`` and ``funnel`` kernels up front;
-``zrect``, ``sweep``, ``generators`` and ``verify`` are imported by the
-bound or subcommand that runs them.
+only the input layer up front; each kernel module is imported by the
+bound or subcommand that runs it.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ import os
 import resource
 import sys
 import time
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from . import alternation, funnel
 from .geometry import (
     ParseError,
     PointSet,
@@ -48,7 +49,7 @@ from .geometry import (
 )
 
 if TYPE_CHECKING:
-    from . import sweep
+    from . import alternation, sweep
 
 BOUND_NAMES = ("alt", "alt-opt", "funnel", "zrects", "irb-up", "irb-down")
 
@@ -79,6 +80,9 @@ def compute_bounds(
     stored in it under the bound's name, for writing out without a rerun."""
     if isinstance(tree, str) and tree not in ("balanced", "opt"):
         raise ValueError(f"tree must be 'balanced', 'opt' or a Tree, got {tree!r}")
+    _check_alt_opt_size(P, bounds, tree)
+    from . import alternation, funnel
+
     best = functools.cache(lambda: alternation.alt_opt(P))
     entries = []
     for name in bounds:
@@ -125,10 +129,33 @@ def _reference_tree(spec: str) -> Union[str, alternation.Tree]:
     path = spec[1:]
     with open(path, "rb") as fh:
         text = _decode(fh.read(), f" in tree file {path}")
+    from . import alternation
+
     try:
         return alternation.parse_tree(text)
     except ValueError as exc:
         raise UsageError(f"tree file {path}: {exc}") from None
+
+
+# Most distinct keys ``alt_opt`` is run on.  Its interval DP costs O(n^3)
+# time: on a random permutation `compute --bounds alt-opt` took 25 s at
+# n=800 and 50 s (75 MiB) at n=1000, the cap (2-core Intel Xeon, Python
+# 3.11).
+_MAX_ALT_OPT_KEYS = 1000
+
+
+def _check_alt_opt_size(
+    P: PointSet, bounds: Sequence[str], tree: Union[str, alternation.Tree]
+) -> None:
+    """Refuse, before any kernel runs, a bound that needs the optimal tree
+    of more distinct keys than ``_MAX_ALT_OPT_KEYS``."""
+    needs_opt = [b for b in bounds if b == "alt-opt" or (b == "alt" and tree == "opt")]
+    if needs_opt and len(P.keys) > _MAX_ALT_OPT_KEYS:
+        bound = "alt-opt" if needs_opt[0] == "alt-opt" else "alt --tree opt"
+        raise ValueError(
+            f"{bound}: {len(P.keys)} distinct keys exceed the cap of "
+            f"{_MAX_ALT_OPT_KEYS} for the optimal reference tree"
+        )
 
 
 # Peak Python heap per input byte while an input is read, parsed and
@@ -328,17 +355,44 @@ def _same_file(a: str, b: str) -> bool:
         return False
 
 
+# Most keys in one piece of ``gen``'s output.
+_GEN_SLICE = 1 << 16
+
+
+def _repeated(blocks: Iterable[list[int]], reps: int) -> Iterator[str]:
+    """The text of each block ``reps`` times, in pieces of at most
+    ``_GEN_SLICE`` keys (or one block, if that is longer)."""
+    for block in blocks:
+        text = serialize_trace(block)
+        per_piece = max(1, _GEN_SLICE // len(block))
+        for done in range(0, reps, per_piece):
+            yield text * min(per_piece, reps - done)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     from . import generators
 
     if args.kind == "bitrev":
         if args.reps is not None:
             raise UsageError("--reps only applies to the separation sequence")
-        trace = generators.bit_reversal(args.k)
+        keys = generators.bit_reversal(args.k)
+        pieces = (
+            serialize_trace(keys[i : i + _GEN_SLICE]) for i in range(0, len(keys), _GEN_SLICE)
+        )
     else:
         params = generators.SeparationParams(args.k, args.reps)
-        trace = generators.separation_sequence(params)
-    sys.stdout.write(serialize_trace(trace))
+        pieces = _repeated(generators.separation_blocks(params), params.effective_reps)
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: what is left is wanted by no one.  Point
+        # stdout at /dev/null, so the interpreter's last flush of what is
+        # still buffered neither fails nor prints.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -1,11 +1,15 @@
 """Access-sequence generators: bit-reversal, geometrically spaced blocks,
 the concatenated separation sequence, and seeded random permutations.
+
+The separation sequence is a run of distinct blocks, each repeated, so
+``separation_blocks`` hands out the blocks one at a time: a writer can
+emit a sequence of any length allowed by the cap while holding one block.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 _MAX_BITREV_K = 24  # 2^24 keys is already far past desk scale
 _MAX_SEQUENCE_LEN = 100_000_000
@@ -17,14 +21,11 @@ def bit_reversal(k: int) -> list[int]:
         raise ValueError("bit_reversal: k must be >= 1")
     if k > _MAX_BITREV_K:
         raise ValueError(f"bit_reversal: k={k} exceeds the cap of {_MAX_BITREV_K}")
-    K = 1 << k
-    out = []
-    for v in range(K):
-        rev = 0
-        for bit in range(k):
-            if v >> bit & 1:
-                rev |= 1 << (k - 1 - bit)
-        out.append(rev)
+    # R_k = 2·R_{k-1} followed by 2·R_{k-1} + 1: the top bit of v becomes
+    # the low bit of its reversal.
+    out = [0]
+    for _ in range(k):
+        out = [2 * r for r in out] + [2 * r + 1 for r in out]
     return out
 
 
@@ -83,10 +84,11 @@ class SeparationParams(_SeparationFields):
         return (self.key_count // 2 + 1) * self.effective_reps * self.block_len
 
 
-def separation_sequence(params: SeparationParams) -> list[int]:
-    """Concatenation of repeated geometrically spaced blocks; keys in
-    [1, n].  Every reference tree's alternation value stays linear on it
-    while the funnel value does not."""
+def separation_blocks(params: SeparationParams) -> Iterator[list[int]]:
+    """The distinct blocks of the separation sequence, ``sep_block(i, k)``
+    for i = 0..n/2, in order; the sequence repeats each one
+    ``params.effective_reps`` times.  The length cap is checked here, at
+    the call, before any block is made."""
     # The length is at least n/2 = 2^(2^k - 1): over the cap once 2^k tops
     # the cap's bit length.  Test k first, before n is built.
     if (
@@ -98,13 +100,17 @@ def separation_sequence(params: SeparationParams) -> list[int]:
             f"separation_sequence: k={params.k}{reps} needs more accesses "
             f"than the cap of {_MAX_SEQUENCE_LEN}"
         )
-    n = params.key_count
+    return (sep_block(i, params.k) for i in range(params.key_count // 2 + 1))
+
+
+def separation_sequence(params: SeparationParams) -> list[int]:
+    """Concatenation of repeated geometrically spaced blocks; keys in
+    [1, n].  Every reference tree's alternation value stays linear on it
+    while the funnel value does not."""
     reps = params.effective_reps
     out: list[int] = []
-    for i in range(n // 2 + 1):
-        block = sep_block(i, params.k)
-        for _ in range(reps):
-            out.extend(block)
+    for block in separation_blocks(params):
+        out.extend(block * reps)
     return out
 
 

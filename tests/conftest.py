@@ -537,3 +537,16 @@ def random_tree_recursive(keys: list[int], rng: random.Random) -> bb.Tree:
         return keys[0]
     k = rng.randrange(1, len(keys))
     return (random_tree_recursive(keys[:k], rng), random_tree_recursive(keys[k:], rng))
+
+
+def bit_reversal_bitwise(k: int) -> list[int]:
+    """Each v < 2^k with its k bits reversed one at a time, kept as an
+    oracle for the doubling ``bit_reversal``."""
+    out = []
+    for v in range(1 << k):
+        rev = 0
+        for bit in range(k):
+            if v >> bit & 1:
+                rev |= 1 << (k - 1 - bit)
+        out.append(rev)
+    return out

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import bstbounds as bb
 import bstbounds.alternation
 import bstbounds.funnel
+import bstbounds.generators
 import bstbounds.sweep
 import bstbounds.verify
 from bstbounds import cli, geometry
@@ -57,6 +59,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_trace_text(out, keys):
+    """``out`` is the trace ``keys``, compared line by line: a failure
+    names the first bad line instead of diffing two large texts."""
+    assert out.splitlines(keepends=True) == [f"{x}\n" for x in keys]
 
 
 def test_compute_irb_bounds(capsys, sweep_file):
@@ -113,6 +121,45 @@ def test_alt_opt_runs_once_for_opt_tree(capsys, trace_file, monkeypatch):
     report = compute_bounds(from_trace([2, 1, 3, 2]), ["alt-opt", "alt"], "opt")
     assert len(calls) == 2
     assert report[0].value == report[1].value
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["--bounds", "funnel,alt-opt"], "alt-opt"),
+        (["--bounds", "alt", "--tree", "opt"], "alt --tree opt"),
+        (["--bounds", "alt,alt-opt", "--tree", "opt"], "alt --tree opt"),
+    ],
+)
+def test_alt_opt_over_its_key_cap_is_refused_before_any_kernel(
+    capsys, trace_file, monkeypatch, argv, bound
+):
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(cli, "_MAX_ALT_OPT_KEYS", 4)  # SIX_TRACE has 5 keys
+    monkeypatch.setattr(bstbounds.funnel, "funnel_bound_fast", no_kernel)
+    monkeypatch.setattr(bstbounds.alternation, "alt_opt", no_kernel)
+    monkeypatch.setattr(bstbounds.alternation, "alt_bound", no_kernel)
+    code, out, err = run(capsys, "compute", trace_file, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"bstbounds: {bound}: 5 distinct keys exceed the cap of 4 "
+        "for the optimal reference tree\n"
+    )
+
+
+def test_alt_opt_key_cap_spares_other_bounds_and_inputs_at_the_cap(
+    capsys, trace_file, monkeypatch
+):
+    monkeypatch.setattr(cli, "_MAX_ALT_OPT_KEYS", 4)
+    for argv in (["--bounds", "funnel,alt"], ["--bounds", "funnel", "--tree", "opt"]):
+        code, _, err = run(capsys, "compute", trace_file, *argv)
+        assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "_MAX_ALT_OPT_KEYS", 5)
+    code, out, err = run(capsys, "compute", trace_file, "--bounds", "alt-opt")
+    assert (code, err) == (0, "")
+    assert out.startswith("alt-opt\t")
 
 
 def test_deep_reference_tree_is_evaluated(capsys, tmp_path):
@@ -332,6 +379,87 @@ def test_gen_separation_lengths(capsys):
     assert len(out.splitlines()) == 576
     code, out, _ = run(capsys, "gen", "separation", "2", "--reps", "1")
     assert len(out.splitlines()) == 36
+
+
+@pytest.mark.parametrize("reps", [None, 1, 2, 7])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gen_separation_streams_the_whole_sequence(capsys, k, reps):
+    params = bstbounds.generators.SeparationParams(k, reps)
+    reps_flag = [] if reps is None else ["--reps", str(reps)]
+    code, out, err = run(capsys, "gen", "separation", str(k), *reps_flag)
+    assert (code, err) == (0, "")
+    assert_trace_text(out, bstbounds.generators.separation_sequence(params))
+
+
+def test_gen_pieces_join_up_at_every_boundary(capsys, monkeypatch):
+    # Pieces of at most 5 keys: a block of 4 keys goes one repetition per
+    # piece, and the bit-reversal permutation of 16 keys in four slices.
+    monkeypatch.setattr(cli, "_GEN_SLICE", 5)
+    params = bstbounds.generators.SeparationParams(2, 7)
+    code, out, _ = run(capsys, "gen", "separation", "2", "--reps", "7")
+    assert code == 0
+    assert_trace_text(out, bstbounds.generators.separation_sequence(params))
+    code, out, _ = run(capsys, "gen", "bitrev", "4")
+    assert code == 0
+    assert_trace_text(out, bstbounds.generators.bit_reversal(4))
+    monkeypatch.setattr(cli, "_GEN_SLICE", 4)  # 2-key blocks: two repetitions, then one
+    params = bstbounds.generators.SeparationParams(1, 3)
+    code, out, _ = run(capsys, "gen", "separation", "1", "--reps", "3")
+    assert code == 0
+    assert_trace_text(out, bstbounds.generators.separation_sequence(params))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separation", "4"],
+        ["separation", "14"],
+        ["separation", "1", "--reps", "0"],
+        ["bitrev", "0"],
+        ["bitrev", "25"],
+    ],
+)
+def test_gen_refusal_writes_nothing(capsys, argv):
+    code, out, err = run(capsys, "gen", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("bstbounds: ") and err.count("\n") == 1
+
+
+def test_gen_holds_no_whole_trace(tmp_path, monkeypatch):
+    # The whole separation 3 text is 903,680 characters; holding it with
+    # its 264,192-key list takes about 18 MiB.
+    with open(tmp_path / "sep3.txt", "w", encoding="utf-8") as fh:
+        monkeypatch.setattr("sys.stdout", fh)
+        tracemalloc.start()
+        try:
+            code = main(["gen", "separation", "3"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert (tmp_path / "sep3.txt").stat().st_size == 903_680
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "argv, lines_read",
+    [(["separation", "3"], 1), (["bitrev", "16"], 1), (["separation", "1"], 0)],
+)
+def test_gen_ends_quietly_when_the_reader_stops(argv, lines_read):
+    # The first two outputs are far larger than a pipe's buffer, so gen is
+    # still writing when the pipe closes; the third finds it closed.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bstbounds.cli", "gen", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_src_env(),
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline() in (b"0\n", b"1\n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_gen_invalid_parameters(capsys):
@@ -800,16 +928,20 @@ sys.exit(code)
 """
 
 
-def _modules_loaded_by(argv: list[str]) -> set[str]:
-    """The modules a fresh interpreter holds after ``main(argv)``."""
+def _src_env() -> dict[str, str]:
+    """The environment with this package's source first on the path."""
     src = str(Path(bb.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+def _modules_loaded_by(argv: list[str]) -> set[str]:
+    """The modules a fresh interpreter holds after ``main(argv)``."""
     proc = subprocess.run(
         [sys.executable, "-c", _MODULE_PROBE, *argv],
         capture_output=True,
         text=True,
-        env=env,
+        env=_src_env(),
         check=True,
     )
     return set(proc.stderr.split())
@@ -826,7 +958,14 @@ def _modules_loaded_by(argv: list[str]) -> set[str]:
         (
             ["gen", "separation", "2"],
             ["bstbounds.generators"],
-            ["bstbounds.verify", "bstbounds.sweep", "bstbounds.zrect"],
+            [
+                "bstbounds.verify",
+                "bstbounds.sweep",
+                "bstbounds.zrect",
+                "bstbounds.alternation",
+                "bstbounds.funnel",
+                "bstbounds.mixing",
+            ],
         ),
     ],
     ids=["compute", "gen"],

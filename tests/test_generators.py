@@ -8,8 +8,11 @@ from bstbounds.generators import (
     bit_reversal,
     random_permutation,
     sep_block,
+    separation_blocks,
     separation_sequence,
 )
+
+from conftest import bit_reversal_bitwise
 
 
 def test_bit_reversal_examples():
@@ -22,6 +25,11 @@ def test_bit_reversal_examples():
 def test_bit_reversal_is_a_permutation(k):
     seq = bit_reversal(k)
     assert sorted(seq) == list(range(1 << k))
+
+
+def test_bit_reversal_matches_the_bitwise_oracle():
+    for k in range(1, 17):
+        assert bit_reversal(k) == bit_reversal_bitwise(k)
 
 
 def test_bit_reversal_guards():
@@ -71,6 +79,23 @@ def test_separation_structure():
 def test_separation_overflow_guard():
     with pytest.raises(ValueError, match="cap"):
         separation_sequence(SeparationParams(4))
+
+
+def test_separation_blocks_are_the_sequence_unrepeated():
+    for k, reps in [(1, None), (2, None), (2, 3), (3, 1)]:
+        params = SeparationParams(k, reps)
+        blocks = list(separation_blocks(params))
+        assert blocks == [sep_block(i, k) for i in range(params.key_count // 2 + 1)]
+        assert separation_sequence(params) == [
+            key for block in blocks for key in block * params.effective_reps
+        ]
+
+
+def test_separation_blocks_check_the_cap_at_the_call():
+    # Not on the first block: a writer must fail before it writes anything.
+    for k, reps in [(4, None), (4, 1600), (14, 1)]:
+        with pytest.raises(ValueError, match=f"separation_sequence: k={k}.* cap of 100000000"):
+            separation_blocks(SeparationParams(k, reps))
 
 
 def test_separation_params_validation():
