@@ -11,7 +11,6 @@ _EXPORTS = {
         "AltWitness",
         "Tree",
         "alt_bound",
-        "alt_brute",
         "alt_opt",
         "balanced_tree",
         "enumerate_trees",
@@ -20,7 +19,7 @@ _EXPORTS = {
         "random_tree",
         "tree_leaves",
     ),
-    "funnel": ("FunnelView", "ZRect", "f_value", "funnel_bound", "funnel_bound_fast", "funnel_of"),
+    "funnel": ("ZRect", "funnel_bound", "funnel_bound_fast"),
     "generators": (
         "SeparationParams",
         "bit_reversal",
@@ -42,7 +41,7 @@ _EXPORTS = {
         "serialize_trace",
         "time_reverse",
     ),
-    "mixing": ("blocks", "mix", "mix_value"),
+    "mixing": ("mix_value",),
     "sweep": (
         "AddedPointType",
         "ClassificationError",
@@ -55,7 +54,7 @@ _EXPORTS = {
         "sweep_add_up",
     ),
     "verify": ("CheckResult", "VerifyReport", "run_checks"),
-    "zrect": ("ZRectResult", "is_zrect", "zrects", "zrects_brute"),
+    "zrect": ("ZRectResult", "zrects"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -47,6 +47,19 @@ def tree_leaves(tree: Tree) -> list[int]:
     return leaves
 
 
+def leaf_depths(tree: Tree) -> dict[int, int]:
+    """Each leaf key's depth, the number of internal nodes above it."""
+    depths: dict[int, int] = {}
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if isinstance(node, int):
+            depths[node] = depth
+        else:
+            stack += ((node[0], depth + 1), (node[1], depth + 1))
+    return depths
+
+
 def _build_tree(keys: Sequence[int], split: Callable[[int, int], int]) -> Tree:
     """Tree over keys[0..n-1] whose node for keys[i..j] has keys[i..k] on
     its left, with k = split(i, j); split is called in pre-order."""

@@ -4,18 +4,21 @@ Subcommands: ``compute`` (evaluate bounds on a trace or point set),
 ``gen`` (emit generator traces), ``transform`` (geometric transforms of
 a point set), ``verify`` (run the exact cross-check suite).
 
-An input is a trace or a point set, as its first data line says.
+An input is a trace or a point set, as its first data line says.  That
+line, every line the parsers read and the line an error names are all
+split by ``geometry.line_chunks``, so their numbers agree.
 ``compute`` checks its whole command line, a ``--tree`` file included,
 before it reads the input.
 
 Exit codes: 0 on success, 1 when a check fails or an input is refused
 (e.g. repeated keys for z-rectangle counting, an input too large for
-the process's memory, or ``alt-opt`` on more keys than its cap), 2 on
-usage or parse errors.  A reader that closes ``gen``'s output early
-ends it quietly with exit 0.
+the process's memory, ``alt-opt`` on more keys than its cap, or ``alt``
+on a ``--tree`` file whose paths would take too much memory or too many
+steps), 2 on usage or parse errors.  A reader that closes ``gen``'s
+output early ends it quietly with exit 0.
 Output is tab-separated, one record per line; lines starting with
 ``#`` are commentary.  ``gen`` writes its trace one block (or slice of
-keys) at a time and never holds the whole text.
+keys) at a time and never holds the whole trace or its text.
 
 Start-up is most of a small command's time, so this module imports
 only the input layer up front; each kernel module is imported by the
@@ -80,16 +83,43 @@ def compute_bounds(
     stored in it under the bound's name, for writing out without a rerun."""
     if isinstance(tree, str) and tree not in ("balanced", "opt"):
         raise ValueError(f"tree must be 'balanced', 'opt' or a Tree, got {tree!r}")
-    _check_alt_opt_size(P, bounds, tree)
+    # The reference tree each alt bound reads.  One that needs the optimal
+    # tree of too many keys, or a tree file whose paths would take too much
+    # memory or too many steps, is refused before any kernel runs.
+    refs = {b: "opt" if b == "alt-opt" else tree for b in bounds if b in ("alt", "alt-opt")}
+    needs_opt = [b for b, ref in refs.items() if ref == "opt"]
+    if needs_opt and len(P.keys) > _MAX_ALT_OPT_KEYS:
+        bound = "alt-opt" if needs_opt[0] == "alt-opt" else "alt --tree opt"
+        raise ValueError(
+            f"{bound}: {len(P.keys)} distinct keys exceed the cap of "
+            f"{_MAX_ALT_OPT_KEYS} for the optimal reference tree"
+        )
     from . import alternation, funnel
+
+    if "alt" in refs and not isinstance(tree, str):
+        depths = alternation.leaf_depths(tree)
+        path_bytes = sum(depths.values()) * _ALT_PATH_ENTRY_BYTES
+        limit = _memory_limit()
+        if path_bytes > limit:
+            raise ValueError(
+                f"alt: the reference tree's paths take about {path_bytes} bytes, "
+                f"over the cap of {limit} bytes of memory"
+            )
+        if len(P) * max(depths.values()) > _MAX_ALT_STEPS:  # else the sum cannot be over
+            steps = sum(depths.get(x, 0) for x in P.xs)
+            if steps > _MAX_ALT_STEPS:
+                raise ValueError(
+                    f"alt: {steps} steps down the reference tree exceed the cap of "
+                    f"{_MAX_ALT_STEPS}"
+                )
 
     best = functools.cache(lambda: alternation.alt_opt(P))
     entries = []
     for name in bounds:
         start = time.perf_counter()
         tree_source = tree_text = None
-        if name in ("alt", "alt-opt"):
-            ref = "opt" if name == "alt-opt" else tree
+        if name in refs:
+            ref = refs[name]
             if ref == "opt":
                 value, used = best()
             else:
@@ -143,19 +173,15 @@ def _reference_tree(spec: str) -> Union[str, alternation.Tree]:
 # 3.11).
 _MAX_ALT_OPT_KEYS = 1000
 
+# Bytes ``alt_bound`` holds per entry of its root-to-leaf paths, one
+# entry per leaf and level above it: 8.1-8.4 B (tracemalloc) on
+# caterpillars of 1000-4000 leaves, rounded up.
+_ALT_PATH_ENTRY_BYTES = 9
 
-def _check_alt_opt_size(
-    P: PointSet, bounds: Sequence[str], tree: Union[str, alternation.Tree]
-) -> None:
-    """Refuse, before any kernel runs, a bound that needs the optimal tree
-    of more distinct keys than ``_MAX_ALT_OPT_KEYS``."""
-    needs_opt = [b for b in bounds if b == "alt-opt" or (b == "alt" and tree == "opt")]
-    if needs_opt and len(P.keys) > _MAX_ALT_OPT_KEYS:
-        bound = "alt-opt" if needs_opt[0] == "alt-opt" else "alt --tree opt"
-        raise ValueError(
-            f"{bound}: {len(P.keys)} distinct keys exceed the cap of "
-            f"{_MAX_ALT_OPT_KEYS} for the optimal reference tree"
-        )
+# Most steps ``alt_bound`` takes down a tree file, the sum over the
+# accesses of their leaf's depth.  1.9e8 steps took 6.4 s (33 ns a step,
+# 2-core Intel Xeon, Python 3.11), so the cap is about half a minute.
+_MAX_ALT_STEPS = 10**9
 
 
 # Peak Python heap per input byte while an input is read, parsed and
@@ -218,23 +244,13 @@ def _line_format(line: str, lineno: int) -> str:
 
 def _detect_format(text: str) -> str:
     """The format of the first data line; an input without one is a trace.
-
-    Only a prefix of the text is split into lines, grown until it holds
-    a data line.  Its last line may be cut short (or end in the '\\r' of
-    a '\\r\\n'), so it is looked at only when the prefix is the whole text.
-    """
-    size = 4096
-    while True:
-        head = text[:size]
-        whole = len(head) == len(text)
-        lines = head.splitlines()
-        for lineno, line in enumerate(lines if whole else lines[:-1], start=1):
+    Only the pieces of ``line_chunks`` up to that line are split."""
+    for first, lines in line_chunks(text):
+        for lineno, line in enumerate(lines, start=first):
             stripped = line.lstrip()
             if stripped and not stripped.startswith("#"):
                 return _line_format(stripped, lineno)
-        if whole:
-            return "trace"
-        size *= 4
+    return "trace"
 
 
 def load_pointset(path: str) -> PointSet:
@@ -375,10 +391,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "bitrev":
         if args.reps is not None:
             raise UsageError("--reps only applies to the separation sequence")
-        keys = generators.bit_reversal(args.k)
-        pieces = (
-            serialize_trace(keys[i : i + _GEN_SLICE]) for i in range(0, len(keys), _GEN_SLICE)
-        )
+        pieces = map(serialize_trace, generators.bit_reversal_slices(args.k, _GEN_SLICE))
     else:
         params = generators.SeparationParams(args.k, args.reps)
         pieces = _repeated(generators.separation_blocks(params), params.effective_reps)

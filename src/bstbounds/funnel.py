@@ -21,7 +21,8 @@ over it.
 ``funnel_of`` is the one definition scan, a backward walk from one
 point; ``f_value`` and ``funnel_bound``, their sum, are the oracle and
 ``verify``'s one independent funnel value.  Every other funnel value,
-per point or summed, comes from the kernel.
+per point or summed, comes from the kernel.  Only ``f_value`` needs
+``mixing``, and imports it itself, so the kernel loads no oracle code.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from bisect import bisect_left
 from typing import Iterable, NamedTuple
 
 from .geometry import Point, PointSet, require_distinct_y
-from .mixing import mix_value
 
 
 class FunnelView(NamedTuple):
@@ -82,6 +82,8 @@ def funnel_of(P: PointSet, p: Point) -> FunnelView:
 
 def f_value(P: PointSet, p: Point) -> int:
     """Side-alternation count of p's funnel in time order."""
+    from .mixing import mix_value  # an oracle's import, off the kernels' load path
+
     view = funnel_of(P, p)
     return mix_value([y for _, y in view.left], [y for _, y in view.right])
 

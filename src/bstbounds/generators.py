@@ -4,6 +4,8 @@ the concatenated separation sequence, and seeded random permutations.
 The separation sequence is a run of distinct blocks, each repeated, so
 ``separation_blocks`` hands out the blocks one at a time: a writer can
 emit a sequence of any length allowed by the cap while holding one block.
+``bit_reversal_slices`` likewise hands out the bit-reversal permutation
+one slice at a time, from two short permutations.
 """
 
 from __future__ import annotations
@@ -17,12 +19,37 @@ _MAX_SEQUENCE_LEN = 100_000_000
 
 def bit_reversal(k: int) -> list[int]:
     """Permutation of {0..2^k - 1} reversing each k-bit representation."""
+    _check_bitrev_k(k)
+    return _reversal(k)
+
+
+def bit_reversal_slices(k: int, size: int) -> Iterator[list[int]]:
+    """``bit_reversal(k)`` in consecutive slices of 2^j keys, for 2^j the
+    largest power of two up to ``size`` (or one slice, if k <= j).  k is
+    checked here, at the call.
+
+    Position h·2^j + l reverses to R_j[l]·2^(k-j) + R_{k-j}[h], since the
+    low j bits of a position become the high bits of its reversal; so
+    only R_j and R_{k-j} are held, never all 2^k keys.
+    """
+    _check_bitrev_k(k)
+    j = min(k, size.bit_length() - 1)
+    low = _reversal(j)
+    if j == k:
+        return iter((low,))
+    return ([(r << (k - j)) | h for r in low] for h in _reversal(k - j))
+
+
+def _check_bitrev_k(k: int) -> None:
     if k < 1:
         raise ValueError("bit_reversal: k must be >= 1")
     if k > _MAX_BITREV_K:
         raise ValueError(f"bit_reversal: k={k} exceeds the cap of {_MAX_BITREV_K}")
+
+
+def _reversal(k: int) -> list[int]:
     # R_k = 2·R_{k-1} followed by 2·R_{k-1} + 1: the top bit of v becomes
-    # the low bit of its reversal.
+    # the low bit of its reversal.  R_0 = [0].
     out = [0]
     for _ in range(k):
         out = [2 * r for r in out] + [2 * r + 1 for r in out]

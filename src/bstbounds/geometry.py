@@ -15,10 +15,10 @@ the columns.  The time-ordered point list ``by_y`` and the frozenset
 behind set equality, hashing and membership are built lazily, only when
 something asks for them.
 
-The parsers (and the CLI, when it looks up a faulty line) split text
-with ``line_chunks``, about ``_CHUNK`` characters at a time, each piece
-cut right after a ``'\\n'``, so nothing holds a string per line of the
-whole input.  ``str.splitlines`` reads ``'\\r\\n'`` as one break, and
+The parsers (and the CLI, to find the format or a faulty line) split
+text with ``line_chunks``, about ``_CHUNK`` characters at a time, each
+piece cut right after a ``'\\n'``, so nothing holds a string per line of
+the whole input.  ``str.splitlines`` reads ``'\\r\\n'`` as one break, and
 no cut falls inside one, so the lines, their numbers and the error
 messages are those of splitting the whole text.
 """
@@ -227,9 +227,10 @@ def parse_pointset(text: str) -> PointSet:
     """Parse a point-set file: one `<x> <y>` pair per line, distinct y.
 
     Blank lines and lines whose first field starts with '#' are skipped.
-    Sorting the distinct y gives the columns their order.
+    Sorting the distinct y gives the columns their order.  Only x is
+    kept per y; a duplicate y's first line is found by a second pass.
     """
-    seen_y: dict[int, tuple[int, int]] = {}  # y -> (its line, x)
+    seen_y: dict[int, int] = {}  # y -> x
     for first, lines in line_chunks(text):
         for lineno, line in enumerate(lines, start=first):
             fields = line.split()
@@ -242,12 +243,24 @@ def parse_pointset(text: str) -> PointSet:
             except ValueError:
                 raise ParseError(f"not an integer pair: {line.strip()!r}", lineno) from None
             if y in seen_y:
+                first_seen = _first_line_of_y(text, y)
                 raise ParseError(
-                    f"duplicate y-coordinate {y} (first seen on line {seen_y[y][0]})", lineno
+                    f"duplicate y-coordinate {y} (first seen on line {first_seen})", lineno
                 )
-            seen_y[y] = lineno, x
+            seen_y[y] = x
     ys = sorted(seen_y)
-    return _columns([seen_y[y][1] for y in ys], ys)
+    return _columns([seen_y[y] for y in ys], ys)
+
+
+def _first_line_of_y(text: str, y: int) -> int:
+    """The number of the first data line with y-coordinate ``y``; every
+    data line before it is a well-formed pair."""
+    return next(
+        lineno
+        for first, lines in line_chunks(text)
+        for lineno, line in enumerate(lines, start=first)
+        if (fields := line.split()) and not fields[0].startswith("#") and int(fields[1]) == y
+    )
 
 
 def serialize_trace(keys: Sequence[int]) -> str:

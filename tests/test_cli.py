@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import os
 import subprocess
@@ -123,6 +124,15 @@ def test_alt_opt_runs_once_for_opt_tree(capsys, trace_file, monkeypatch):
     assert report[0].value == report[1].value
 
 
+def _no_kernel(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(bstbounds.funnel, "funnel_bound_fast", no_kernel)
+    monkeypatch.setattr(bstbounds.alternation, "alt_opt", no_kernel)
+    monkeypatch.setattr(bstbounds.alternation, "alt_bound", no_kernel)
+
+
 @pytest.mark.parametrize(
     "argv, bound",
     [
@@ -134,13 +144,8 @@ def test_alt_opt_runs_once_for_opt_tree(capsys, trace_file, monkeypatch):
 def test_alt_opt_over_its_key_cap_is_refused_before_any_kernel(
     capsys, trace_file, monkeypatch, argv, bound
 ):
-    def no_kernel(*args):
-        raise AssertionError("a kernel ran")
-
     monkeypatch.setattr(cli, "_MAX_ALT_OPT_KEYS", 4)  # SIX_TRACE has 5 keys
-    monkeypatch.setattr(bstbounds.funnel, "funnel_bound_fast", no_kernel)
-    monkeypatch.setattr(bstbounds.alternation, "alt_opt", no_kernel)
-    monkeypatch.setattr(bstbounds.alternation, "alt_bound", no_kernel)
+    _no_kernel(monkeypatch)
     code, out, err = run(capsys, "compute", trace_file, *argv)
     assert (code, out) == (1, "")
     assert err == (
@@ -160,6 +165,57 @@ def test_alt_opt_key_cap_spares_other_bounds_and_inputs_at_the_cap(
     code, out, err = run(capsys, "compute", trace_file, "--bounds", "alt-opt")
     assert (code, err) == (0, "")
     assert out.startswith("alt-opt\t")
+
+
+@pytest.fixture
+def six_tree(tmp_path):
+    # Leaf depths 1:2 2:3 3:3 4:2 5:2, so 12 path entries, and SIX_TRACE
+    # takes 2+2+3+2+2+3 = 14 steps down them.
+    tree = tmp_path / "six.tree"
+    tree.write_text(SIX_TREE_TEXT + "\n")
+    return f"@{tree}"
+
+
+def test_tree_file_whose_paths_exceed_memory_is_refused_before_any_kernel(
+    capsys, trace_file, six_tree, monkeypatch
+):
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 10**6)
+    monkeypatch.setattr(cli, "_ALT_PATH_ENTRY_BYTES", 10**5)
+    _no_kernel(monkeypatch)
+    argv = ["compute", trace_file, "--bounds", "funnel,alt", "--tree", six_tree]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (
+        "bstbounds: alt: the reference tree's paths take about 1200000 bytes, "
+        "over the cap of 1000000 bytes of memory\n"
+    )
+
+
+def test_tree_file_over_the_step_cap_is_refused_before_any_kernel(
+    capsys, trace_file, six_tree, monkeypatch
+):
+    monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 13)
+    _no_kernel(monkeypatch)
+    argv = ["compute", trace_file, "--bounds", "funnel,alt", "--tree", six_tree]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "bstbounds: alt: 14 steps down the reference tree exceed the cap of 13\n"
+
+
+def test_tree_caps_spare_runs_within_them_and_other_trees(
+    capsys, trace_file, six_tree, monkeypatch
+):
+    monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 14)  # exactly the steps taken
+    monkeypatch.setattr(cli, "_ALT_PATH_ENTRY_BYTES", cli._memory_limit() // 12)
+    code, out, err = run(capsys, "compute", trace_file, "--bounds", "alt", "--tree", six_tree)
+    assert (code, out, err) == (0, "alt\t11\n", "")
+    # Only a tree file is costed: the balanced and the optimal tree are not.
+    monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 0)
+    monkeypatch.setattr(cli, "_ALT_PATH_ENTRY_BYTES", 10**30)
+    for tree in ("balanced", "opt"):
+        argv = ["compute", trace_file, "--bounds", "alt,alt-opt", "--tree", tree]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
 
 
 def test_deep_reference_tree_is_evaluated(capsys, tmp_path):
@@ -371,6 +427,10 @@ def test_gen_bitrev(capsys):
     code, out, _ = run(capsys, "gen", "bitrev", "2")
     assert code == 0
     assert out == "0\n2\n1\n3\n"
+    for k in (1, 16, 17, 20):  # one slice, then 2 and 16 slices of 2^16 keys
+        code, out, err = run(capsys, "gen", "bitrev", str(k))
+        assert (code, err) == (0, "")
+        assert_trace_text(out, bstbounds.generators.bit_reversal(k))
 
 
 def test_gen_separation_lengths(capsys):
@@ -407,6 +467,10 @@ def test_gen_pieces_join_up_at_every_boundary(capsys, monkeypatch):
     code, out, _ = run(capsys, "gen", "separation", "1", "--reps", "3")
     assert code == 0
     assert_trace_text(out, bstbounds.generators.separation_sequence(params))
+    for k in range(1, 9):  # slices of 4 keys from R_2 and R_{k-2}
+        code, out, _ = run(capsys, "gen", "bitrev", str(k))
+        assert code == 0
+        assert_trace_text(out, bstbounds.generators.bit_reversal(k))
 
 
 @pytest.mark.parametrize(
@@ -439,6 +503,21 @@ def test_gen_holds_no_whole_trace(tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "sep3.txt").stat().st_size == 903_680
     assert peak < 1 << 20
+
+
+def test_gen_bitrev_holds_no_whole_permutation(tmp_path, monkeypatch):
+    # Holding the 2^18 keys of bitrev 18 peaks at about 17 MiB; the
+    # permutations of 2^16 and 4 keys, a slice and its text at about 10 MiB.
+    with open(tmp_path / "bitrev18.txt", "w", encoding="utf-8") as fh:
+        monkeypatch.setattr("sys.stdout", fh)
+        tracemalloc.start()
+        try:
+            code = main(["gen", "bitrev", "18"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 13 << 20
 
 
 @pytest.mark.parametrize(
@@ -728,20 +807,22 @@ def test_error_lines_are_found_piece_by_piece(capsys, tmp_path, monkeypatch, dat
         assert err == f"bstbounds: parse error: {message}\n"
 
 
-def test_detect_format_reads_only_to_the_first_data_line():
-    # The first data line fixes the format even when later lines disagree.
-    assert _detect_format("# x\n\n5\n1 2\n") == "trace"
-    assert _detect_format("1 2\n5\n") == "pointset"
-    assert _detect_format("") == "trace"
-    # Data lines past the first split prefix, or cut by it.
-    assert _detect_format("#" * 5000 + "\n1 2\n") == "pointset"
-    assert _detect_format("1" * 5000 + " 2\n") == "pointset"
-    with pytest.raises(ParseError, match="line 5001: expected 1 or 2 fields"):
-        _detect_format("\n" * 5000 + "1 2 3\n")
-    # The first prefix ends inside a '\r\n'; lines are still numbered
-    # as the parsers number them.
-    with pytest.raises(ParseError, match="line 3001: expected 1 or 2 fields"):
-        _detect_format("#" + "\r\n" * 3000 + "1 2 3\n")
+def test_detect_format_reads_only_to_the_first_data_line(monkeypatch):
+    # The format is read off the pieces of ``line_chunks``, so a data
+    # line past the first piece, or a piece cut near a '\r\n', is found
+    # and numbered as the parsers number it, at every piece size.
+    for chunk in (1, 2, 3, 5, 1 << 16):
+        monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        # The first data line fixes the format even when later lines disagree.
+        assert _detect_format("# x\n\n5\n1 2\n") == "trace"
+        assert _detect_format("1 2\n5\n") == "pointset"
+        assert _detect_format("") == "trace"
+        assert _detect_format("#" * 5000 + "\n1 2\n") == "pointset"
+        assert _detect_format("1" * 5000 + " 2\n") == "pointset"
+        with pytest.raises(ParseError, match="line 5001: expected 1 or 2 fields"):
+            _detect_format("\n" * 5000 + "1 2 3\n")
+        with pytest.raises(ParseError, match="line 3001: expected 1 or 2 fields"):
+            _detect_format("#" + "\r\n" * 3000 + "1 2 3\n")
 
 
 def test_compute_on_a_trace_builds_no_frozenset_and_sorts_nothing(
@@ -840,6 +921,8 @@ _FUZZ_FILE = st.one_of(
 )
 _FUZZ_TREE = st.one_of(
     st.sampled_from([b"(0 1)", b"((-1 0) (1 2))", b"(1 \xff2)", b"\x80", b"(1", b"(1 2) 3", b"()"]),
+    # a caterpillar over the keys of the permutation point sets below
+    st.just(b"(0 (1 (2 (3 (4 (5 (6 7)))))))"),
     st.binary(max_size=8),
 )
 
@@ -953,7 +1036,13 @@ def _modules_loaded_by(argv: list[str]) -> set[str]:
         (
             ["compute", "TRACE", "--bounds", "alt,alt-opt,funnel"],
             ["bstbounds.alternation", "bstbounds.funnel"],
-            ["bstbounds.verify", "bstbounds.sweep", "bstbounds.generators", "bstbounds.zrect"],
+            [
+                "bstbounds.verify",
+                "bstbounds.sweep",
+                "bstbounds.generators",
+                "bstbounds.zrect",
+                "bstbounds.mixing",
+            ],
         ),
         (
             ["gen", "separation", "2"],
@@ -983,3 +1072,19 @@ def test_every_public_name_resolves():
     assert bb.ZRect is bstbounds.funnel.ZRect
     with pytest.raises(AttributeError, match="no_such_name"):
         bb.no_such_name
+
+
+_ORACLES = {
+    "alternation": ["alt_brute"],
+    "zrect": ["zrects_brute", "is_zrect"],
+    "mixing": ["mix", "blocks"],
+    "funnel": ["funnel_of", "f_value", "FunnelView"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, ns in _ORACLES.items() for n in ns])
+def test_oracles_are_not_exported(module, name):
+    # Oracles stay in their modules, imported from there, not from the package.
+    assert name not in bb.__all__
+    assert not hasattr(bb, name)
+    assert callable(getattr(importlib.import_module(f"bstbounds.{module}"), name))

@@ -6,6 +6,7 @@ import bstbounds as bb
 from bstbounds.generators import (
     SeparationParams,
     bit_reversal,
+    bit_reversal_slices,
     random_permutation,
     sep_block,
     separation_blocks,
@@ -37,6 +38,21 @@ def test_bit_reversal_guards():
         bit_reversal(0)
     with pytest.raises(ValueError, match="cap"):
         bit_reversal(60)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5, 8, 1 << 16])
+def test_bit_reversal_slices_join_up_to_the_permutation(size):
+    width = 1 << (size.bit_length() - 1)  # the largest power of two up to size
+    for k in range(1, 21 if size == 1 << 16 else 11):
+        slices = list(bit_reversal_slices(k, size))
+        assert [x for piece in slices for x in piece] == bit_reversal(k)
+        assert {len(piece) for piece in slices} == {min(width, 1 << k)}
+
+
+def test_bit_reversal_slices_check_k_at_the_call():
+    for k in (0, 25):
+        with pytest.raises(ValueError, match="bit_reversal: k"):
+            bit_reversal_slices(k, 4)
 
 
 def test_sep_block_examples():

@@ -184,6 +184,32 @@ def test_parse_pointset_rejects_duplicate_y():
         parse_pointset("1 5\n2 5\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 5\n2 5\n", "line 2: duplicate y-coordinate 5 (first seen on line 1)"),
+        (
+            "# a 5\r\n\r\n 1 5\r\n# b\n2 6\r\n3 5\n",
+            "line 6: duplicate y-coordinate 5 (first seen on line 3)",
+        ),
+        ("1 1\n2 2\n3 1\nx\n4 2\n", "line 3: duplicate y-coordinate 1 (first seen on line 1)"),
+        ("1 1\n2 2\nx 1\n3 1\n", "line 3: not an integer pair: 'x 1'"),
+        (
+            "".join(f"{y} {y}\r\n" for y in range(30_000)) + "7 29999\n",
+            "line 30001: duplicate y-coordinate 29999 (first seen on line 30000)",
+        ),
+    ],
+    ids=["adjacent", "comments-and-crlf", "duplicate-before-junk", "junk-before-duplicate",
+         "past-the-first-piece"],
+)
+def test_duplicate_y_names_its_first_line_at_every_piece_size(monkeypatch, text, message):
+    for chunk in (1, 2, 3, 5, 1 << 16):
+        monkeypatch.setattr(geometry, "_CHUNK", chunk)
+        with pytest.raises(ParseError) as exc:
+            parse_pointset(text)
+        assert str(exc.value) == message
+
+
 def test_parse_pointset_reports_bad_line():
     with pytest.raises(ParseError, match="line 3"):
         parse_pointset("1 1\n2 2\nthree\n")

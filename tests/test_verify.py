@@ -2,6 +2,7 @@ import pytest
 
 import bstbounds as bb
 import bstbounds.funnel
+import bstbounds.zrect
 from bstbounds.geometry import from_trace
 from bstbounds.verify import FAIL, INFO, PASS, SKIP, run_checks
 
@@ -96,6 +97,26 @@ def test_funnel_bound_runs_once_per_set(monkeypatch):
     assert calls == [TRIO]
     # Only the reference scan asks for point values, one per point.
     assert sorted(point_calls) == sorted(TRIO)
+
+
+def test_input_is_replayed_once(monkeypatch):
+    # The per-access runs and the z-rectangle count come from one walk
+    # of P, whichever module's name for the kernel is called.
+    P = perm_pointset(40, 3)
+    replays = []
+    real = bstbounds.funnel.move_to_root
+
+    def counting(points, zrects=None, runs_out=None):
+        points = list(points)
+        if points == list(zip(P.xs, P.ys)):
+            replays.append(points)
+        return real(points, zrects, runs_out)
+
+    monkeypatch.setattr(bstbounds.funnel, "move_to_root", counting)
+    monkeypatch.setattr(bstbounds.zrect, "move_to_root", counting)
+    report = run_checks(P, level="quick")
+    assert report.ok
+    assert len(replays) == 1
 
 
 def test_kernel_off_by_one_fails_funnel_hflip(monkeypatch):
