@@ -13,7 +13,6 @@ _EXPORTS = {
         "alt_bound",
         "alt_opt",
         "balanced_tree",
-        "enumerate_trees",
         "format_tree",
         "parse_tree",
         "random_tree",

@@ -48,15 +48,20 @@ def tree_leaves(tree: Tree) -> list[int]:
 
 
 def leaf_depths(tree: Tree) -> dict[int, int]:
-    """Each leaf key's depth, the number of internal nodes above it."""
+    """Each leaf key's depth, the number of internal nodes above it; one
+    level of the tree at a time."""
     depths: dict[int, int] = {}
-    stack = [(tree, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, int):
-            depths[node] = depth
-        else:
-            stack += ((node[0], depth + 1), (node[1], depth + 1))
+    level: list[Tree] = [tree]
+    depth = 0
+    while level:
+        below: list[Tree] = []
+        for node in level:
+            if isinstance(node, int):
+                depths[node] = depth
+            else:
+                below += node
+        level = below
+        depth += 1
     return depths
 
 
@@ -135,18 +140,6 @@ def parse_tree(text: str) -> Tree:
     return tree
 
 
-def _check_tree_keys(P: PointSet, tree: Tree, op: str) -> list[int]:
-    leaves = tree_leaves(tree)
-    if any(a >= b for a, b in zip(leaves, leaves[1:])):
-        raise ValueError(f"{op}: leaf keys must be strictly increasing")
-    keys = list(P.keys)
-    if leaves != keys:
-        raise ValueError(
-            f"{op}: tree leaves {leaves} do not match the distinct keys {keys}"
-        )
-    return keys
-
-
 def alt_bound(P: PointSet, tree: Tree) -> int:
     """Alternation bound of P for one reference tree.
 
@@ -156,21 +149,28 @@ def alt_bound(P: PointSet, tree: Tree) -> int:
     path and counts a switch at every node whose last side it changes.
     A node's first access counts too, as the first run.  The paths take
     memory for the sum of the leaf depths, which is at most the number
-    of steps the scan takes anyway.
+    of steps the scan takes anyway.  Listing them checks the leaves.
     """
     require_distinct_y(P, "alt_bound")
-    _check_tree_keys(P, tree, "alt_bound")
+    keys = P.keys
     paths: dict[int, tuple[tuple[int, int], ...]] = {}
     nodes = 0
     stack: list[tuple[Tree, tuple[tuple[int, int], ...]]] = [(tree, ())]
     while stack:
         node, path = stack.pop()
         if isinstance(node, int):
+            if paths and node <= leaf:
+                raise ValueError("alt_bound: leaf keys must be strictly increasing")
             paths[node] = path
+            leaf = node
         else:
             stack.append((node[1], path + ((nodes, 2),)))
             stack.append((node[0], path + ((nodes, 1),)))
             nodes += 1
+    if tuple(paths) != keys:
+        raise ValueError(
+            f"alt_bound: tree leaves {list(paths)} do not match the distinct keys {list(keys)}"
+        )
     last = [0] * nodes
     total = 0
     for x in P.xs:
@@ -305,7 +305,7 @@ def alt_opt(P: PointSet) -> AltWitness:
 
 
 def enumerate_trees(keys: Sequence[int]) -> Iterator[Tree]:
-    """All full binary trees over the given sorted keys (Catalan many)."""
+    """All full binary trees over the sorted keys (Catalan many); an oracle."""
     keys = list(keys)
     if not keys:
         raise ValueError("enumerate_trees: need at least one key")

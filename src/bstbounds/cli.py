@@ -11,11 +11,11 @@ split by ``geometry.line_chunks``, so their numbers agree.
 before it reads the input.
 
 Exit codes: 0 on success, 1 when a check fails or an input is refused
-(e.g. repeated keys for z-rectangle counting, an input too large for
-the process's memory, ``alt-opt`` on more keys than its cap, or ``alt``
-on a ``--tree`` file whose paths would take too much memory or too many
-steps), 2 on usage or parse errors.  A reader that closes ``gen``'s
-output early ends it quietly with exit 0.
+(e.g. repeated keys for z-rectangle counting, an input or ``--tree``
+file too large for the process's memory, ``alt-opt`` on more keys than
+its cap, or ``alt`` on a tree whose paths would take too much memory or
+too many steps), 2 on usage or parse errors.  A reader that closes
+``gen``'s output early ends it quietly with exit 0.
 Output is tab-separated, one record per line; lines starting with
 ``#`` are commentary.  ``gen`` writes its trace one block (or slice of
 keys) at a time and never holds the whole trace or its text.
@@ -74,17 +74,20 @@ def compute_bounds(
     bounds: Sequence[str],
     tree: Union[str, alternation.Tree] = "balanced",
     sweeps: Optional[dict[str, sweep.SweepOutput]] = None,
+    input_size: int = 0,
 ) -> tuple[BoundEntry, ...]:
     """Evaluate the requested bounds, each timed on its own.  ``tree`` is
     ``alt``'s reference tree: ``"balanced"`` over P's keys, ``"opt"`` or a
     parsed tree.  ``alt-opt`` is ``alt`` on ``"opt"``, and every ``"opt"``
     reads one ``alt_opt`` witness, charged to the first bound that asks.
     With ``sweeps`` given, each ``irb-up``/``irb-down`` sweep's output is
-    stored in it under the bound's name, for writing out without a rerun."""
+    stored in it under the bound's name, for writing out without a rerun.
+    ``input_size``, the length of the text P was read from, is charged
+    with the tree ``alt`` walks against the memory cap."""
     if isinstance(tree, str) and tree not in ("balanced", "opt"):
         raise ValueError(f"tree must be 'balanced', 'opt' or a Tree, got {tree!r}")
     # The reference tree each alt bound reads.  One that needs the optimal
-    # tree of too many keys, or a tree file whose paths would take too much
+    # tree of too many keys, or a tree whose paths would take too much
     # memory or too many steps, is refused before any kernel runs.
     refs = {b: "opt" if b == "alt-opt" else tree for b in bounds if b in ("alt", "alt-opt")}
     needs_opt = [b for b, ref in refs.items() if ref == "opt"]
@@ -96,22 +99,13 @@ def compute_bounds(
         )
     from . import alternation, funnel
 
-    if "alt" in refs and not isinstance(tree, str):
-        depths = alternation.leaf_depths(tree)
-        path_bytes = sum(depths.values()) * _ALT_PATH_ENTRY_BYTES
-        limit = _memory_limit()
-        if path_bytes > limit:
-            raise ValueError(
-                f"alt: the reference tree's paths take about {path_bytes} bytes, "
-                f"over the cap of {limit} bytes of memory"
-            )
-        if len(P) * max(depths.values()) > _MAX_ALT_STEPS:  # else the sum cannot be over
-            steps = sum(depths.get(x, 0) for x in P.xs)
-            if steps > _MAX_ALT_STEPS:
-                raise ValueError(
-                    f"alt: {steps} steps down the reference tree exceed the cap of "
-                    f"{_MAX_ALT_STEPS}"
-                )
+    # The tree alt walks, costed now; an empty P has no balanced tree,
+    # and alt raises in its turn below.
+    walked = refs.get("alt", "opt")
+    if walked != "opt" and len(P):
+        if walked == "balanced":
+            walked = alternation.balanced_tree(P.keys)
+        _check_alt_cost(P, alternation.leaf_depths(walked), input_size)
 
     best = functools.cache(lambda: alternation.alt_opt(P))
     entries = []
@@ -123,7 +117,7 @@ def compute_bounds(
             if ref == "opt":
                 value, used = best()
             else:
-                used = alternation.balanced_tree(P.keys) if ref == "balanced" else ref
+                used = alternation.balanced_tree(P.keys) if walked == "balanced" else walked
                 value = alternation.alt_bound(P, used)
             tree_source = ref if isinstance(ref, str) else "file"
             tree_text = alternation.format_tree(used)
@@ -158,6 +152,7 @@ def _reference_tree(spec: str) -> Union[str, alternation.Tree]:
         raise UsageError(f"--tree must be balanced, opt, or @<file>, got {spec!r}")
     path = spec[1:]
     with open(path, "rb") as fh:
+        _check_input_size(os.fstat(fh.fileno()).st_size, f"tree file {path}")
         text = _decode(fh.read(), f" in tree file {path}")
     from . import alternation
 
@@ -173,22 +168,51 @@ def _reference_tree(spec: str) -> Union[str, alternation.Tree]:
 # 3.11).
 _MAX_ALT_OPT_KEYS = 1000
 
-# Bytes ``alt_bound`` holds per entry of its root-to-leaf paths, one
-# entry per leaf and level above it: 8.1-8.4 B (tracemalloc) on
-# caterpillars of 1000-4000 leaves, rounded up.
-_ALT_PATH_ENTRY_BYTES = 9
+# Bytes ``alt_bound`` and its tree hold: 8 per entry of the root-to-leaf
+# paths, one entry per leaf and level above it, and 340 per key.  Fitted
+# (tracemalloc, rounded up) on balanced trees of 10^3-2*10^5 leaves over
+# shuffled traces, built or parsed (at most 328 B per key beyond 8 per
+# entry), and on caterpillars of 1000-4000 leaves (8.1 B per entry).
+_ALT_PATH_ENTRY_BYTES = 8
+_ALT_KEY_BYTES = 340
 
-# Most steps ``alt_bound`` takes down a tree file, the sum over the
-# accesses of their leaf's depth.  1.9e8 steps took 6.4 s (33 ns a step,
-# 2-core Intel Xeon, Python 3.11), so the cap is about half a minute.
+# Most steps ``alt_bound`` takes down a tree, the sum over the accesses
+# of their leaf's depth.  1.9e8 steps took 6.4 s (33 ns a step, 2-core
+# Intel Xeon, Python 3.11), so the cap is about half a minute.
 _MAX_ALT_STEPS = 10**9
+
+
+def _check_alt_cost(P: PointSet, depths: dict[int, int], input_size: int) -> None:
+    """Refuse ``alt`` on the tree with these leaf depths when the input's
+    share of memory (as the input cap counts it), the tree's paths and its
+    keys would pass the memory cap, or its walk would pass the step cap."""
+    estimate = (
+        input_size * _PEAK_BYTES_PER_INPUT_BYTE
+        + sum(depths.values()) * _ALT_PATH_ENTRY_BYTES
+        + len(depths) * _ALT_KEY_BYTES
+    )
+    limit = _memory_limit()
+    if estimate > limit:
+        raise ValueError(
+            f"alt: the input and the reference tree's paths take about {estimate} bytes, "
+            f"over the cap of {limit} bytes of memory"
+        )
+    if len(P) * max(depths.values()) > _MAX_ALT_STEPS:  # else the sum cannot be over
+        steps = sum(depths.get(x, 0) for x in P.xs)
+        if steps > _MAX_ALT_STEPS:
+            raise ValueError(
+                f"alt: {steps} steps down the reference tree exceed the cap of "
+                f"{_MAX_ALT_STEPS}"
+            )
 
 
 # Peak Python heap per input byte while an input is read, parsed and
 # built and its funnel bound computed, from tracemalloc on inputs of
 # 100,000-200,000 lines: 22.4 B for a trace of distinct keys (10.5 B for
 # one-digit keys, 15.9 B for blank lines) and 36.5 B for a point set with
-# distinct y; the worse, rounded up.
+# distinct y; the worse, rounded up.  A ``--tree`` file is held to the
+# same cap: decoding and parsing a balanced tree of 10^5-2*10^5 leaves
+# peaks at 21-23 B per file byte.
 _PEAK_BYTES_PER_INPUT_BYTE = 40
 
 
@@ -201,11 +225,11 @@ def _memory_limit() -> int:
     return limit
 
 
-def _check_input_size(size: int) -> None:
+def _check_input_size(size: int, what: str = "input") -> None:
     cap = _memory_limit() // _PEAK_BYTES_PER_INPUT_BYTE
     if size > cap:
         raise ValueError(
-            f"input of {size} bytes exceeds the cap of {cap} bytes "
+            f"{what} of {size} bytes exceeds the cap of {cap} bytes "
             f"({_PEAK_BYTES_PER_INPUT_BYTE} bytes of memory per input byte)"
         )
 
@@ -254,7 +278,13 @@ def _detect_format(text: str) -> str:
 
 
 def load_pointset(path: str) -> PointSet:
-    """Read, parse and build the input in one pass of one parser.
+    """The input as a point set, as ``_load`` reads it."""
+    return _load(path)[0]
+
+
+def _load(path: str) -> tuple[PointSet, int]:
+    """Read, parse and build the input in one pass of one parser; also
+    return the length of its text.
 
     The first data line fixes the format, and a later line that the
     parser refuses is reported as a mixed input when it has the other
@@ -263,9 +293,7 @@ def load_pointset(path: str) -> PointSet:
     text = _read_input(path)
     fmt = _detect_format(text)
     try:
-        if fmt == "trace":
-            return from_trace(parse_trace(text))
-        return parse_pointset(text)
+        P = from_trace(parse_trace(text)) if fmt == "trace" else parse_pointset(text)
     except ParseError as exc:
         bad_line = next(
             lines[exc.line - first]
@@ -275,6 +303,7 @@ def load_pointset(path: str) -> PointSet:
         if _line_format(bad_line, exc.line) != fmt:
             raise ParseError("mixed trace and point-set lines", exc.line) from None
         raise
+    return P, len(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,7 +344,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the exact cross-check suite")
     p_ver.add_argument("input", help="trace or point-set file, '-' for stdin")
     p_ver.add_argument("--level", choices=("quick", "full"), default="full")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seeds only the 20 random reference trees that --level full "
+        "samples on more than 32 distinct keys",
+    )
     p_ver.add_argument("--tsv", action="store_true", help="machine output")
     return parser
 
@@ -340,8 +375,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.sweep_to
         else contextlib.nullcontext()
     ) as fh:
-        P = load_pointset(args.input)
-        entries = compute_bounds(P, bounds, tree, sweeps)
+        P, input_size = _load(args.input)
+        entries = compute_bounds(P, bounds, tree, sweeps, input_size)
         if sweeps is not None:
             from . import sweep
 

@@ -12,6 +12,7 @@ from bstbounds.alternation import (
     balanced_tree,
     enumerate_trees,
     format_tree,
+    leaf_depths,
     parse_tree,
     random_tree,
     tree_leaves,
@@ -112,6 +113,8 @@ def test_tree_walks_take_a_deep_caterpillar(left_gets_one):
         expected = f"({k} {expected})" if left_gets_one else f"({expected} {n - k + 1})"
     assert text == expected
     assert tree_leaves(tree) == keys
+    depth = (lambda k: k) if left_gets_one else (lambda k: n - k + 1)
+    assert leaf_depths(tree) == {k: min(depth(k), n - 1) for k in keys}
     assert format_tree(parse_tree(text)) == text
     assert alt_bound(from_trace(keys), tree) == 2 * (n - 1)
 
@@ -122,6 +125,17 @@ def test_random_tree_matches_recursive_oracle():
         rng, oracle_rng = random.Random(seed), random.Random(seed)
         assert random_tree(keys, rng) == random_tree_recursive(keys, oracle_rng)
         assert rng.random() == oracle_rng.random()
+
+
+def test_leaf_depths_matches_recursive_oracle():
+    def depths(tree, depth=0):
+        if isinstance(tree, int):
+            return {tree: depth}
+        return {**depths(tree[0], depth + 1), **depths(tree[1], depth + 1)}
+
+    for seed in range(100):
+        tree = random_tree(range(seed % 40 + 1), random.Random(seed))
+        assert leaf_depths(tree) == depths(tree)
 
 
 def test_alt_worked_example():
@@ -146,6 +160,27 @@ def test_alt_rejects_mismatched_tree():
         alt_bound(P, ((1, 2), 4))
     with pytest.raises(ValueError, match="strictly increasing"):
         alt_bound(P, ((2, 1), 3))
+
+
+def test_alt_bound_checks_the_leaves_in_its_own_walk(monkeypatch):
+    monkeypatch.setattr(bb.alternation, "tree_leaves", _raise)
+    P = from_trace(SIX_TRACE)
+    assert alt_bound(P, parse_tree(SIX_TREE_TEXT)) == SIX_ALT
+    for tree, message in [
+        (((1, 2), 4), "alt_bound: tree leaves [1, 2, 4] do not match the distinct keys [1, 2, 3]"),
+        ((1, (2, (3, 4))), "alt_bound: tree leaves [1, 2, 3, 4] do not match the distinct keys [1, 2, 3]"),
+        ((1, 2), "alt_bound: tree leaves [1, 2] do not match the distinct keys [1, 2, 3]"),
+        (((2, 1), 3), "alt_bound: leaf keys must be strictly increasing"),
+        (((1, 1), 3), "alt_bound: leaf keys must be strictly increasing"),
+        ((1, (3, 2)), "alt_bound: leaf keys must be strictly increasing"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            alt_bound(from_trace([1, 2, 3]), tree)
+        assert str(exc.value) == message
+
+
+def _raise(*args):
+    raise AssertionError("tree_leaves called")
 
 
 def _caterpillar(keys, left_gets_one):

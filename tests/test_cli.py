@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -176,18 +177,25 @@ def six_tree(tmp_path):
     return f"@{tree}"
 
 
+def _alt_costs(monkeypatch, limit, per_entry, per_key, per_input_byte):
+    monkeypatch.setattr(cli, "_memory_limit", lambda: limit)
+    monkeypatch.setattr(cli, "_ALT_PATH_ENTRY_BYTES", per_entry)
+    monkeypatch.setattr(cli, "_ALT_KEY_BYTES", per_key)
+    monkeypatch.setattr(cli, "_PEAK_BYTES_PER_INPUT_BYTE", per_input_byte)
+
+
 def test_tree_file_whose_paths_exceed_memory_is_refused_before_any_kernel(
     capsys, trace_file, six_tree, monkeypatch
 ):
-    monkeypatch.setattr(cli, "_memory_limit", lambda: 10**6)
-    monkeypatch.setattr(cli, "_ALT_PATH_ENTRY_BYTES", 10**5)
+    # 12 path entries, 5 keys and the 12-byte input.
+    _alt_costs(monkeypatch, 10**6, 10**5, 10**3, 10)
     _no_kernel(monkeypatch)
     argv = ["compute", trace_file, "--bounds", "funnel,alt", "--tree", six_tree]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == (
-        "bstbounds: alt: the reference tree's paths take about 1200000 bytes, "
-        "over the cap of 1000000 bytes of memory\n"
+        "bstbounds: alt: the input and the reference tree's paths take about 1205120 "
+        "bytes, over the cap of 1000000 bytes of memory\n"
     )
 
 
@@ -206,16 +214,94 @@ def test_tree_caps_spare_runs_within_them_and_other_trees(
     capsys, trace_file, six_tree, monkeypatch
 ):
     monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 14)  # exactly the steps taken
-    monkeypatch.setattr(cli, "_ALT_PATH_ENTRY_BYTES", cli._memory_limit() // 12)
+    _alt_costs(monkeypatch, 1205120, 10**5, 10**3, 10)  # exactly the estimate
     code, out, err = run(capsys, "compute", trace_file, "--bounds", "alt", "--tree", six_tree)
     assert (code, out, err) == (0, "alt\t11\n", "")
-    # Only a tree file is costed: the balanced and the optimal tree are not.
+    # alt-opt walks no tree, so the optimal tree is not costed.
     monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 0)
-    monkeypatch.setattr(cli, "_ALT_PATH_ENTRY_BYTES", 10**30)
-    for tree in ("balanced", "opt"):
-        argv = ["compute", trace_file, "--bounds", "alt,alt-opt", "--tree", tree]
-        code, _, err = run(capsys, *argv)
-        assert (code, err) == (0, "")
+    _alt_costs(monkeypatch, 10**6, 10**30, 10**30, 10)
+    argv = ["compute", trace_file, "--bounds", "alt,alt-opt", "--tree", "opt"]
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("tree", ["balanced", "file"])
+def test_every_walked_tree_is_costed_with_the_input(
+    capsys, trace_file, six_tree, monkeypatch, tree
+):
+    # SIX_TRACE's balanced tree (((1 2) 3) (4 5)) has 12 path entries
+    # too, so both trees cost the same beside the 12-byte input.
+    spec = six_tree if tree == "file" else tree
+    estimate = (
+        12 * cli._ALT_PATH_ENTRY_BYTES
+        + 5 * cli._ALT_KEY_BYTES
+        + 12 * cli._PEAK_BYTES_PER_INPUT_BYTE
+    )
+    monkeypatch.setattr(cli, "_memory_limit", lambda: estimate)
+    code, out, err = run(capsys, "compute", trace_file, "--bounds", "funnel,alt", "--tree", spec)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "_memory_limit", lambda: estimate - 1)
+    _no_kernel(monkeypatch)
+    code, out, err = run(capsys, "compute", trace_file, "--bounds", "funnel,alt", "--tree", spec)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"bstbounds: alt: the input and the reference tree's paths take about {estimate} "
+        f"bytes, over the cap of {estimate - 1} bytes of memory\n"
+    )
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 10**9)
+    monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 13)
+    code, out, err = run(capsys, "compute", trace_file, "--bounds", "alt", "--tree", spec)
+    assert (code, out) == (1, "")
+    assert err == "bstbounds: alt: 14 steps down the reference tree exceed the cap of 13\n"
+
+
+def test_shuffled_trace_under_a_small_memory_cap_is_refused_cleanly(tmp_path, monkeypatch):
+    # 100,000 shuffled keys (588,895 bytes) need about 69 MB of address
+    # space for funnel,alt; under a 60,000 KiB limit the balanced tree's
+    # walk ran out of memory, and under 90,000 KiB it must still run.
+    keys = list(range(1, 100_001))
+    random.Random(1).shuffle(keys)
+    path = tmp_path / "shuffled.txt"
+    path.write_text("".join(f"{k}\n" for k in keys))
+    assert path.stat().st_size == 588_895
+    P = load_pointset(str(path))
+    calls = []
+    monkeypatch.setattr(bstbounds.alternation, "alt_bound", lambda P, tree: calls.append(tree))
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 60_000 * 1024)
+    with pytest.raises(ValueError, match=r"^alt: the input and the reference tree's paths"):
+        compute_bounds(P, ["alt"], "balanced", None, 588_895)
+    assert calls == []
+    monkeypatch.setattr(cli, "_memory_limit", lambda: 90_000 * 1024)
+    compute_bounds(P, ["alt"], "balanced", None, 588_895)
+    assert calls == [bb.balanced_tree(P.keys)]
+
+
+def test_tree_file_over_the_input_cap_is_refused_before_it_is_read(
+    capsys, trace_file, tmp_path, monkeypatch
+):
+    # A tree file is held to the input's cap; one byte over is refused
+    # before it is decoded (the extra byte is not UTF-8) or parsed.
+    per_byte = cli._PEAK_BYTES_PER_INPUT_BYTE
+    tree = tmp_path / "ref.tree"
+    text = (SIX_TREE_TEXT + "\n").encode()
+    monkeypatch.setattr(cli, "_memory_limit", lambda: len(text) * per_byte)
+    tree.write_bytes(text)
+    code, out, _ = run(capsys, "compute", trace_file, "--bounds", "funnel", "--tree", f"@{tree}")
+    assert (code, out) == (0, "funnel\t8\n")
+    tree.write_bytes(text + b"\xff")
+    monkeypatch.setattr(bstbounds.alternation, "parse_tree", _never)
+    code, out, err = run(
+        capsys, "compute", "/nonexistent/input.txt", "--bounds", "alt", "--tree", f"@{tree}"
+    )
+    assert (code, out) == (1, "")
+    assert err == (
+        f"bstbounds: tree file {tree} of {len(text) + 1} bytes exceeds the cap of "
+        f"{len(text)} bytes ({per_byte} bytes of memory per input byte)\n"
+    )
+
+
+def _never(*args):
+    raise AssertionError("called")
 
 
 def test_deep_reference_tree_is_evaluated(capsys, tmp_path):
@@ -1075,7 +1161,7 @@ def test_every_public_name_resolves():
 
 
 _ORACLES = {
-    "alternation": ["alt_brute"],
+    "alternation": ["alt_brute", "enumerate_trees"],
     "zrect": ["zrects_brute", "is_zrect"],
     "mixing": ["mix", "blocks"],
     "funnel": ["funnel_of", "f_value", "FunnelView"],

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 import bstbounds as bb
+import bstbounds.alternation
 import bstbounds.funnel
 import bstbounds.zrect
+from bstbounds.alternation import alt_bound, alt_opt, balanced_tree, enumerate_trees, format_tree
 from bstbounds.geometry import from_trace
 from bstbounds.verify import FAIL, INFO, PASS, SKIP, run_checks
 
@@ -160,3 +164,89 @@ def test_kernel_pointwise_fault_fails_funnel_hflip(monkeypatch):
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_checks(TRIO, level="thorough")
+
+
+def _traces_up_to(max_keys, count, seed):
+    """Seeded permutations and uniform traces (repeated keys) over at
+    most max_keys keys."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, max_keys)
+        if i % 2:
+            yield rng.sample(range(1, n + 1), n)
+        else:
+            yield [rng.randint(1, n) for _ in range(rng.randint(1, 4 * n))]
+
+
+def test_alt_opt_is_the_maximum_over_every_tree_up_to_seven_keys():
+    # What the domination check gave up: it enumerated every tree for
+    # n <= 7, and alt_opt must match that maximum.
+    for trace in _traces_up_to(7, 300, seed=16):
+        P = from_trace(trace)
+        assert alt_opt(P).value == max(alt_bound(P, T) for T in enumerate_trees(P.keys)), trace
+
+
+def _never(*args):
+    raise AssertionError("called")
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(bstbounds.alternation, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bstbounds.alternation, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 32])
+def test_full_level_up_to_32_keys_asks_alt_opt_once(monkeypatch, n):
+    for name in ("enumerate_trees", "random_tree", "alt_bound"):
+        monkeypatch.setattr(bstbounds.alternation, name, _never)
+    opt_calls = _counting(monkeypatch, "alt_opt")
+    for trace in (bb.random_permutation(n, n), [k % n + 1 for k in range(3 * n)]):
+        P = from_trace(trace)
+        reports = [run_checks(P, level="full", seed=seed).results for seed in (0, 1, 99)]
+        assert reports[0] == reports[1] == reports[2]
+        assert _by_name(run_checks(P, level="full")).get("two-sided-domination").status == PASS
+    assert len(opt_calls) == 8
+
+
+def test_quick_level_walks_only_the_balanced_tree(monkeypatch):
+    monkeypatch.setattr(bstbounds.alternation, "alt_opt", _never)
+    monkeypatch.setattr(bstbounds.alternation, "random_tree", _never)
+    walked = _counting(monkeypatch, "alt_bound")
+    P = perm_pointset(32, 4)
+    assert run_checks(P, level="quick").ok
+    assert [tree for _, tree in walked] == [balanced_tree(P.keys)]
+
+
+def test_full_level_above_32_keys_walks_21_trees(monkeypatch):
+    monkeypatch.setattr(bstbounds.alternation, "alt_opt", _never)
+    sampled = _counting(monkeypatch, "random_tree")
+    walked = _counting(monkeypatch, "alt_bound")
+    assert run_checks(perm_pointset(33, 4), level="full").ok
+    assert (len(sampled), len(walked)) == (20, 21)
+
+
+@pytest.mark.parametrize("n", [5, 32, 33])
+def test_domination_failure_names_the_tree(monkeypatch, n):
+    # Negative control: with both funnels forced to 0, the check fails on
+    # alt_opt's witness up to 32 keys, and on the first walked tree, the
+    # balanced one, above.
+    monkeypatch.setattr(bstbounds.funnel, "funnel_bound", lambda P: 0)
+    monkeypatch.setattr(bstbounds.funnel, "funnel_bound_fast", lambda P: 0)
+    P = perm_pointset(n, 8)
+    if n <= 32:
+        alt, tree = alt_opt(P)
+    else:
+        tree = balanced_tree(P.keys)
+        alt = alt_bound(P, tree)
+    result = _by_name(run_checks(P, level="full"))["two-sided-domination"]
+    assert (result.status, result.detail) == (
+        FAIL,
+        f"funnel 0 + reverse funnel 0 < alt {alt} for tree {format_tree(tree)}",
+    )
