@@ -6,9 +6,10 @@ blocks so that no reference tree alternates much, while the funnel value
 keeps growing.  This prints one TSV row per k with both bound values and
 their ratio.  The alternation side is the optimum over all reference
 trees, from the interval DP; it costs O(P + n^3) for n keys and P
-funnel pairs (at most (n - 1) * m for m accesses).  The whole script
-takes about 0.8 s with the default --ks 2 3 (k=3: n=256, m=33,024) and
-1.4 s with --reps-full (m=264,192) on a 2-core Intel Xeon with Python
+funnel pairs (at most (n - 1) * m for m accesses), and is most of the
+time, since the funnel folds each repeated block.  The whole script
+takes about 0.9 s with the default --ks 2 3 (k=3: n=256, m=33,024) and
+1.3 s with --reps-full (m=264,192) on a 2-core Intel Xeon with Python
 3.11, process start-up included.
 
 Usage: python scripts/separation_trend.py [--ks 2 3] [--reps-full]

@@ -8,7 +8,9 @@ form writes a leaf as ``<key>`` and an internal node as
 
 The bound charges, at every internal node, the number of times the trace
 switches between accessing keys of the left and of the right subtree,
-and recurses into both sides.  ``alt_opt`` maximizes it over all trees
+and recurses into both sides.  ``alt_bound`` walks a block repeated r
+times twice, since every copy after the second switches as the second
+did (see ``geometry``).  ``alt_opt`` maximizes it over all trees
 by an interval DP, whose switch counts for every key interval and split
 come from the funnel pairs of one move-to-root walk over the key ranks.
 
@@ -23,7 +25,7 @@ from itertools import accumulate
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .geometry import PointSet, require_distinct_y
+from .geometry import PointSet, require_distinct_y, stretches
 
 Tree = Union[int, tuple["Tree", "Tree"]]
 
@@ -150,6 +152,10 @@ def alt_bound(P: PointSet, tree: Tree) -> int:
     A node's first access counts too, as the first run.  The paths take
     memory for the sum of the leaf depths, which is at most the number
     of steps the scan takes anyway.  Listing them checks the leaves.
+
+    P's repeated blocks are folded (``PointSet.repeats``): after whole
+    periods of a block every node's last side is as after one, so each
+    copy after the second adds what the second did, and is skipped.
     """
     require_distinct_y(P, "alt_bound")
     keys = P.keys
@@ -172,12 +178,15 @@ def alt_bound(P: PointSet, tree: Tree) -> int:
             f"alt_bound: tree leaves {list(paths)} do not match the distinct keys {list(keys)}"
         )
     last = [0] * nodes
-    total = 0
-    for x in P.xs:
-        for node, side in paths[x]:
-            if last[node] != side:
-                last[node] = side
-                total += 1
+    total = mark = 0
+    for stretch, _, count in stretches(iter(P.xs), P.repeats):
+        for x in stretch:
+            for node, side in paths[x]:
+                if last[node] != side:
+                    last[node] = side
+                    total += 1
+        total += count * (total - mark)  # the period just walked, count more times
+        mark = total
     return total
 
 

@@ -216,13 +216,31 @@ def _check_alt_cost(P: PointSet, depths: dict[int, int], input_size: int) -> Non
 _PEAK_BYTES_PER_INPUT_BYTE = 40
 
 
+# Address space the interpreter maps once ``cli`` is imported, where
+# ``/proc/self/statm`` cannot be read: 18.2 MiB measured (Python 3.11,
+# Linux x86-64), rounded up.
+_BASE_MAPPED_BYTES = 19 << 20
+
+
 def _memory_limit() -> int:
-    """Bytes this process may use: its address-space limit, or the
-    machine's physical memory when that limit is unlimited."""
+    """Bytes this process may still map: its address-space limit, or the
+    machine's physical memory when that limit is unlimited, less what it
+    maps already."""
     limit, _ = resource.getrlimit(resource.RLIMIT_AS)
     if limit == resource.RLIM_INFINITY:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    return limit
+        limit = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    return limit - _mapped_bytes()
+
+
+def _mapped_bytes() -> int:
+    """The address space this process maps now, or the interpreter's
+    measured base where ``/proc/self/statm`` cannot be read."""
+    try:
+        with open("/proc/self/statm") as fh:
+            pages = int(fh.read().split()[0])
+    except OSError:
+        return _BASE_MAPPED_BYTES
+    return pages * os.sysconf("SC_PAGE_SIZE")
 
 
 def _check_input_size(size: int, what: str = "input") -> None:

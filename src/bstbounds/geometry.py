@@ -15,6 +15,16 @@ the columns.  The time-ordered point list ``by_y`` and the frozenset
 behind set equality, hashing and membership are built lazily, only when
 something asks for them.
 
+A key block repeated back to back is folded: ``PointSet.repeats``, the
+repeat plan, names each stretch that repeats the block before it whole
+times.  An access's funnel, and its switches in any reference tree,
+depend only on its key and on the accesses since that key's previous
+access (Wilber 1989), so every copy of a block after its second adds
+what the second did, and leaves the kernel's state as the second left
+it.  The funnel and alternation kernels walk the accesses through
+``stretches``, which hands them each period to fold and skips its
+copies unread.  Distinct keys have no plan.
+
 The parsers (and the CLI, to find the format or a faulty line) split
 text with ``line_chunks``, about ``_CHUNK`` characters at a time, each
 piece cut right after a ``'\\n'``, so nothing holds a string per line of
@@ -26,9 +36,12 @@ messages are those of splitting the whole text.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 Point = tuple[int, int]
+Repeat = tuple[int, int, int]  # (start, period, count) of one repeat-plan entry
+T = TypeVar("T")
 
 
 class ParseError(ValueError):
@@ -76,6 +89,15 @@ class PointSet:
         return tuple(sorted(set(self.xs)))
 
     @cached_property
+    def repeats(self) -> list[Repeat]:
+        """The repeat plan: one ``(start, period, count)`` per stretch the
+        kernels fold.  The ``period`` accesses before ``start`` have
+        distinct keys and repeat the ``period`` accesses before them, and
+        ``xs[start : start + count * period]`` is that block ``count``
+        more times.  Entries are in order and do not overlap."""
+        return _repeat_plan(self.xs)
+
+    @cached_property
     def has_distinct_y(self) -> bool:
         return len(set(self.ys)) == len(self)
 
@@ -112,6 +134,87 @@ def _columns(xs: Sequence[int], ys: Sequence[int]) -> PointSet:
     P.ys = ys
     P.has_distinct_y = True
     return P
+
+
+# Most keys compared in one slice while a repeated block is extended.
+_SLICE = 1 << 16
+
+
+def _repeat_plan(xs: Sequence[int]) -> list[Repeat]:
+    """One pass over the accesses that are not skipped.  Positions count
+    only those, so a skipped stretch leaves the keys' gaps as if its
+    copies were never there.  Once ``gap`` accesses in a row since the
+    latest skip each follow their key's previous access by ``gap``, they
+    are distinct and repeat the ``gap`` before them, and the copies that
+    follow are found by comparing slices.  Counting only since the latest
+    skip keeps each entry's block before ``start`` clear of skipped
+    copies."""
+    plan: list[Repeat] = []
+    last: dict[int, int] = {}  # key -> its latest position among those walked
+    get = last.get
+    never = -len(xs) - 1  # a first access's gap is beyond any run
+    skipped = 0
+    gap = run = 0  # the last `run` accesses each follow their key's previous one by `gap`
+    accesses = iter(xs)
+    for at, x in enumerate(accesses):
+        g = at - get(x, never)
+        last[x] = at
+        if g != gap:
+            gap = g
+            run = 0
+        run += 1
+        if run == gap:
+            start = at + skipped + 1
+            count = _copies(xs, start, gap)
+            if count:
+                plan.append((start, gap, count))
+                skipped += count * gap
+                next(islice(accesses, count * gap, count * gap), None)
+                run = 0
+    return plan
+
+
+def _copies(xs: Sequence[int], start: int, period: int) -> int:
+    """How many whole times the ``period`` keys before ``start`` repeat
+    from ``start`` on.  The periods compared at once double up to a
+    slice of ``_SLICE`` keys, then halve after the first mismatch, so the
+    keys compared are O(copies * period + period)."""
+    count = 0
+    step = 1
+    most = max(1, _SLICE // period)
+    growing = True
+    while step:
+        end = start + step * period
+        if end <= len(xs) and all(
+            xs[a : min(a + _SLICE, end)] == xs[a - period : min(a + _SLICE, end) - period]
+            for a in range(start, end, _SLICE)
+        ):
+            start = end
+            count += step
+            if growing:
+                step = min(2 * step, most)
+        else:
+            growing = False
+            step //= 2
+    return count
+
+
+def stretches(
+    accesses: Iterator[T], repeats: Sequence[Repeat]
+) -> Iterator[tuple[Iterator[T], int, int]]:
+    """A folding kernel's walk over ``accesses`` with the plan ``repeats``:
+    ``(stretch, period, count)``, where the kernel walks ``stretch``.  A
+    stretch with ``count`` 0 is only walked.  Otherwise it is the
+    ``period`` accesses before a plan entry's start, and the kernel adds
+    ``count`` times their share; the copies are then consumed unread."""
+    done = 0
+    for start, period, count in repeats:
+        yield islice(accesses, start - period - done), 0, 0
+        yield islice(accesses, period), period, count
+        skip = count * period
+        next(islice(accesses, skip, skip), None)
+        done = start + skip
+    yield accesses, 0, 0
 
 
 def require_distinct_y(P: PointSet, op: str) -> None:

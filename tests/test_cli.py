@@ -276,6 +276,51 @@ def test_shuffled_trace_under_a_small_memory_cap_is_refused_cleanly(tmp_path, mo
     assert calls == [bb.balanced_tree(P.keys)]
 
 
+def test_memory_caps_charge_what_the_process_maps(capsys, trace_file, monkeypatch):
+    # Under an address-space limit, both caps count only what is left
+    # after the mapped base: 20,000 shuffled keys once ended in a raw
+    # MemoryError from alt under limits where the estimate alone fitted.
+    base = 19 << 20
+    per_byte = cli._PEAK_BYTES_PER_INPUT_BYTE
+    limit = [0]
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda what: (limit[0], limit[0]))
+    monkeypatch.setattr(cli, "_mapped_bytes", lambda: base)
+    estimate = 12 * cli._ALT_PATH_ENTRY_BYTES + 5 * cli._ALT_KEY_BYTES + 12 * per_byte
+    limit[0] = base + estimate
+    assert run(capsys, "compute", trace_file, "--bounds", "funnel,alt") == (
+        0,
+        "funnel\t8\nalt\t12\n",
+        "",
+    )
+    limit[0] = base + estimate - 1
+    _no_kernel(monkeypatch)
+    assert run(capsys, "compute", trace_file, "--bounds", "funnel,alt") == (
+        1,
+        "",
+        "bstbounds: alt: the input and the reference tree's paths take about "
+        f"{estimate} bytes, over the cap of {estimate - 1} bytes of memory\n",
+    )
+    limit[0] = base + 12 * per_byte - 1
+    assert run(capsys, "compute", trace_file, "--bounds", "funnel") == (
+        1,
+        "",
+        f"bstbounds: input of 12 bytes exceeds the cap of 11 bytes "
+        f"({per_byte} bytes of memory per input byte)\n",
+    )
+
+
+def test_mapped_bytes_come_from_statm_or_the_measured_base(monkeypatch):
+    with open("/proc/self/statm") as fh:
+        pages = int(fh.read().split()[0])
+    assert abs(cli._mapped_bytes() - pages * os.sysconf("SC_PAGE_SIZE")) < 64 << 20
+
+    def no_proc(*args, **kwargs):
+        raise FileNotFoundError("/proc/self/statm")
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    assert cli._mapped_bytes() == cli._BASE_MAPPED_BYTES
+
+
 def test_tree_file_over_the_input_cap_is_refused_before_it_is_read(
     capsys, trace_file, tmp_path, monkeypatch
 ):
