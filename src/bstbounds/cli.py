@@ -75,6 +75,7 @@ def compute_bounds(
     tree: Union[str, alternation.Tree] = "balanced",
     sweeps: Optional[dict[str, sweep.SweepOutput]] = None,
     input_size: int = 0,
+    input_mapped: int = 0,
 ) -> tuple[BoundEntry, ...]:
     """Evaluate the requested bounds, each timed on its own.  ``tree`` is
     ``alt``'s reference tree: ``"balanced"`` over P's keys, ``"opt"`` or a
@@ -83,7 +84,9 @@ def compute_bounds(
     With ``sweeps`` given, each ``irb-up``/``irb-down`` sweep's output is
     stored in it under the bound's name, for writing out without a rerun.
     ``input_size``, the length of the text P was read from, is charged
-    with the tree ``alt`` walks against the memory cap."""
+    with the tree ``alt`` walks against the memory cap, less
+    ``input_mapped``, what the process mapped while reading it, which
+    the cap has already taken off."""
     if isinstance(tree, str) and tree not in ("balanced", "opt"):
         raise ValueError(f"tree must be 'balanced', 'opt' or a Tree, got {tree!r}")
     # The reference tree each alt bound reads.  One that needs the optimal
@@ -97,17 +100,18 @@ def compute_bounds(
             f"{bound}: {len(P.keys)} distinct keys exceed the cap of "
             f"{_MAX_ALT_OPT_KEYS} for the optimal reference tree"
         )
-    from . import alternation, funnel
+    if refs:
+        from . import alternation
 
+        best = functools.cache(lambda: alternation.alt_opt(P))
     # The tree alt walks, costed now; an empty P has no balanced tree,
     # and alt raises in its turn below.
     walked = refs.get("alt", "opt")
     if walked != "opt" and len(P):
         if walked == "balanced":
             walked = alternation.balanced_tree(P.keys)
-        _check_alt_cost(P, alternation.leaf_depths(walked), input_size)
+        _check_alt_cost(P, alternation.leaf_depths(walked), input_size, input_mapped)
 
-    best = functools.cache(lambda: alternation.alt_opt(P))
     entries = []
     for name in bounds:
         start = time.perf_counter()
@@ -122,6 +126,8 @@ def compute_bounds(
             tree_source = ref if isinstance(ref, str) else "file"
             tree_text = alternation.format_tree(used)
         elif name == "funnel":
+            from . import funnel
+
             value = funnel.funnel_bound_fast(P)
         elif name == "zrects":
             from . import zrect
@@ -130,10 +136,10 @@ def compute_bounds(
         elif name in ("irb-up", "irb-down"):
             from . import sweep
 
-            run = sweep.sweep_add_up if name == "irb-up" else sweep.sweep_add_down
-            if sweeps is None:  # hold no sweep past its own count
-                value = len(run(P).added)
+            if sweeps is None:  # count the corners without building them
+                value = (sweep.irb_up if name == "irb-up" else sweep.irb_down)(P)
             else:
+                run = sweep.sweep_add_up if name == "irb-up" else sweep.sweep_add_down
                 sweeps[name] = run(P)
                 value = len(sweeps[name].added)
         else:
@@ -182,12 +188,15 @@ _ALT_KEY_BYTES = 340
 _MAX_ALT_STEPS = 10**9
 
 
-def _check_alt_cost(P: PointSet, depths: dict[int, int], input_size: int) -> None:
+def _check_alt_cost(
+    P: PointSet, depths: dict[int, int], input_size: int, input_mapped: int
+) -> None:
     """Refuse ``alt`` on the tree with these leaf depths when the input's
-    share of memory (as the input cap counts it), the tree's paths and its
-    keys would pass the memory cap, or its walk would pass the step cap."""
+    share of memory (as the input cap counts it, less the ``input_mapped``
+    bytes its load already mapped), the tree's paths and its keys would
+    pass the memory cap, or its walk would pass the step cap."""
     estimate = (
-        input_size * _PEAK_BYTES_PER_INPUT_BYTE
+        max(0, input_size * _PEAK_BYTES_PER_INPUT_BYTE - input_mapped)
         + sum(depths.values()) * _ALT_PATH_ENTRY_BYTES
         + len(depths) * _ALT_KEY_BYTES
     )
@@ -393,8 +402,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.sweep_to
         else contextlib.nullcontext()
     ) as fh:
+        before = _mapped_bytes()
         P, input_size = _load(args.input)
-        entries = compute_bounds(P, bounds, tree, sweeps, input_size)
+        # What the load mapped is already off the memory cap.
+        input_mapped = max(0, _mapped_bytes() - before)
+        entries = compute_bounds(P, bounds, tree, sweeps, input_size, input_mapped)
         if sweeps is not None:
             from . import sweep
 

@@ -20,11 +20,32 @@ can be a partner, since it blocks every lower point of its column.  The
 partners of an access in column r are therefore the chain of columns
 met walking left from r whose top is strictly higher than every top
 passed so far.  After the step the access's column and every partner
-column hold a point at the current time, the largest time yet.  The
-tops sit in a max segment tree: each partner is one descent ("rightmost
-column left of c whose top exceeds v") and each write stops climbing at
-the first node that already holds the current time, so a sweep costs
-O((m + added) * log m) for m accesses.
+column hold a point at the current time, the largest time yet.
+
+The sweep runs in two phases.  The first keeps the non-empty columns
+in a Cartesian tree: in column order, and a max-heap on (top, column),
+so among equal tops the column further right ranks higher.  With
+distinct x the non-empty columns before time t are the columns of the
+first t accesses, so c1, the nearest of them left of r, is known for
+every access from one pass that deletes the columns from a linked list
+in reverse time order.  The partners are c1 and each ancestor of c1
+that c1 lies right of; its other ancestors lie right of r.  The walk
+from the root down to c1 meets the partners in ascending column and
+rebuilds the tree as it goes: r becomes the root; the partners form a
+left spine under it with c1 on top, each partner's right subtree being
+the old left subtree of the partner to its right; and the ancestors
+right of r are chained by left links above c1's old right subtree.
+
+A walk takes one step per partner and one per ancestor right of r.
+Random permutations take about 4-6 steps per access and corner, but
+some inputs (strided ones) take many more, so the first phase counts
+its steps and stops once they pass ``_STEP_BUDGET`` per access and
+corner handled so far.  The second phase then builds a max segment tree
+of the tops in O(m) and finishes the sweep: each partner is one descent
+("rightmost column left of c whose top exceeds v") and each write stops
+climbing at the first node that already holds the current time.  The
+first phase takes at most ``_STEP_BUDGET * (m + added) + m`` steps, so
+a sweep still costs O((m + added) * log m) for m accesses at worst.
 """
 
 from __future__ import annotations
@@ -33,7 +54,6 @@ from bisect import bisect_right
 from typing import NamedTuple, Optional
 
 from .geometry import Point, PointSet, require_distinct_xy
-from .zrect import zrects
 
 
 class SweepOutput(NamedTuple):
@@ -46,49 +66,153 @@ class SweepOutput(NamedTuple):
         return frozenset(self.added)
 
 
-def _sweep_up(cols: list[int]) -> list[tuple[int, int]]:
+# Steps the tree phase of ``_sweep_up`` may take per access and corner
+# handled so far; past that it hands its tops to the segment tree.  A
+# step is one node a walk visits.  Random permutations take 3.9, 4.6,
+# 5.3 and 5.8 steps per access and corner at m = 2.5k, 10k, 40k and 100k;
+# the stride-90 family (``j * 90 + i``, m = 8100) takes 30.1 if left to
+# run, and hands over after 115 accesses.
+_STEP_BUDGET = 8
+
+
+def _sweep_up(cols: list[int], phase_out: Optional[list[int]] = None) -> list[tuple[int, int]]:
     """Up-sweep over column ranks 0..m-1 in time order (distinct).
 
     Returns one ``(column, time index)`` pair per added corner, grouped
     by access in time order and, within an access, in descending y of
-    the partner, which is ascending column.
+    the partner, which is ascending column.  With ``phase_out`` given,
+    the tree phase's steps and the number of accesses it handled are
+    appended to it.
+    """
+    m = len(cols)
+    # pred[t]: the nearest column left of cols[t] accessed before t, or
+    # -1.  Columns leave a linked list in reverse time order; slot m of
+    # each list is scratch for the ends, which index -1 reaches too.
+    before, after = list(range(-1, m)), list(range(1, m + 2))
+    pred = [0] * m
+    for t in range(m - 1, -1, -1):
+        c = cols[t]
+        p, n = before[c], after[c]
+        pred[t] = p
+        after[p] = n
+        before[n] = p
+
+    # Child links; None marks an empty subtree, so a walk that leaves
+    # the tree fails at once.
+    left: list[Optional[int]] = [None] * m
+    right: list[Optional[int]] = [None] * m
+    top = [0] * m
+    root: Optional[int] = None
+    added: list[tuple[int, int]] = []
+    climbed = 0  # steps onto ancestors right of the access
+    budget = _STEP_BUDGET
+    for t, r in enumerate(cols):
+        now = t + 1
+        c = pred[t]
+        top[r] = now
+        if c < 0:
+            right[r] = root
+            root = r
+            continue
+        # Walk down to c; spine is the last partner met, chain the last
+        # ancestor right of r.
+        node, spine, chain = root, None, None
+        while node != c:
+            if node < c:
+                added.append((node, t))
+                top[node] = now
+                if spine is not None:
+                    right[spine] = left[node]
+                    left[node] = spine
+                spine = node
+                node = right[node]
+            else:
+                climbed += 1
+                if chain is not None:
+                    left[chain] = node
+                else:
+                    right[r] = node
+                chain = node
+                node = left[node]
+        added.append((c, t))
+        top[c] = now
+        if spine is not None:
+            right[spine] = left[c]
+            left[c] = spine
+        if chain is not None:
+            left[chain] = right[c]
+        else:
+            right[r] = right[c]
+        right[c] = None
+        left[r] = c
+        root = r
+        if climbed + len(added) > budget * (now + len(added)):
+            break
+    else:
+        now = m
+    if phase_out is not None:
+        phase_out += (climbed + len(added), now)
+    return _segment_sweep(cols, top, now, added) if now < m else added
+
+
+def _segment_sweep(
+    cols: list[int], top: list[int], start: int, added: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The up-sweep from time index ``start`` on, with ``top`` each
+    column's top before it, appending to ``added``.
+
+    The tops sit in a max segment tree: each partner is one descent
+    ("rightmost column left of c whose top exceeds v") and each write
+    stops climbing at the first node that already holds the current
+    time.
     """
     size = 1 << max(len(cols) - 1, 0).bit_length()
-    top = [0] * (2 * size)  # max over the node's columns; leaves at size + col
-    added: list[tuple[int, int]] = []
-    for t, r in enumerate(cols):
+    tree = [0] * size + top + [0] * (size - len(top))  # leaves at size + col
+    h = size
+    while h > 1:  # a level at a time: nodes h..2h-1 from children 2h..4h-1
+        h //= 2
+        tree[h : 2 * h] = map(max, tree[2 * h : 4 * h : 2], tree[2 * h + 1 : 4 * h : 2])
+    for t, r in enumerate(cols[start:], start):
         now = t + 1
         chain: list[int] = []  # partner columns, walking left from r
         i, v = size + r, 0
         while i > 1:
-            if i & 1 and top[i - 1] > v:
+            if i & 1 and tree[i - 1] > v:
                 i -= 1  # the left sibling holds the nearest higher top
                 while i < size:
-                    i = 2 * i + 1 if top[2 * i + 1] > v else 2 * i
+                    i = 2 * i + 1 if tree[2 * i + 1] > v else 2 * i
                 chain.append(i - size)
-                v = top[i]
+                v = tree[i]
             else:
                 i >>= 1
         added.extend((c, t) for c in reversed(chain))
         chain.append(r)
         for c in chain:
             i = size + c
-            while i and top[i] < now:
-                top[i] = now
+            while i and tree[i] < now:
+                tree[i] = now
                 i >>= 1
     return added
 
 
-def _sweep(P: PointSet, mirrored: bool) -> tuple[Point, ...]:
-    # Descending keys give the mirrored ranks m-1-r, and map them back.
-    ys = P.ys
+def _sweep_pairs(
+    P: PointSet, mirrored: bool
+) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """P's keys in column order and the kernel's ``(column, time index)``
+    pairs; descending keys give the mirrored ranks m-1-r."""
+    require_distinct_xy(P, "sweep_add_down" if mirrored else "sweep_add_up")
     keys = P.keys[::-1] if mirrored else P.keys
     rank = {x: i for i, x in enumerate(keys)}
-    return tuple((keys[c], ys[t]) for c, t in _sweep_up([rank[x] for x in P.xs]))
+    return keys, _sweep_up([rank[x] for x in P.xs])
+
+
+def _sweep(P: PointSet, mirrored: bool) -> tuple[Point, ...]:
+    keys, pairs = _sweep_pairs(P, mirrored)
+    ys = P.ys
+    return tuple((keys[c], ys[t]) for c, t in pairs)
 
 
 def sweep_add_up(P: PointSet) -> SweepOutput:
-    require_distinct_xy(P, "sweep_add_up")
     return SweepOutput(P, _sweep(P, mirrored=False), "up")
 
 
@@ -98,16 +222,17 @@ def sweep_add_down(P: PointSet) -> SweepOutput:
     Runs the up-sweep kernel on mirrored column ranks and maps the
     columns back to keys.
     """
-    require_distinct_xy(P, "sweep_add_down")
     return SweepOutput(P, _sweep(P, mirrored=True), "down")
 
 
 def irb_up(P: PointSet) -> int:
-    return len(sweep_add_up(P).added)
+    """The up-sweep's count of added points, without building them."""
+    return len(_sweep_pairs(P, mirrored=False)[1])
 
 
 def irb_down(P: PointSet) -> int:
-    return len(sweep_add_down(P).added)
+    """The down-sweep's count of added points, without building them."""
+    return len(_sweep_pairs(P, mirrored=True)[1])
 
 
 class AddedPointType(NamedTuple):
@@ -168,6 +293,8 @@ def classify_added(P: PointSet, out: SweepOutput) -> list[AddedPointType]:
             # the lowest added point above; it exists, as y is not highest
             d = access_by_y.get(column[bisect_right(column, y)])
             if tops is None:
+                from .zrect import zrects
+
                 tops = {w.top for w in zrects(P).witnesses}
             if d is None or d not in tops:
                 raise ClassificationError(

@@ -309,6 +309,43 @@ def test_memory_caps_charge_what_the_process_maps(capsys, trace_file, monkeypatc
     )
 
 
+@pytest.mark.parametrize("grown", [100, 1000])
+def test_alt_cap_charges_the_input_only_beyond_what_its_load_mapped(
+    capsys, trace_file, monkeypatch, grown
+):
+    # The load maps ``grown`` bytes, which the cap has already taken off,
+    # so the input's term is charged only past them, and never below 0.
+    base = 19 << 20
+    mapped = [base]
+    real_load = cli._load
+
+    def loading(path):
+        loaded = real_load(path)
+        mapped[0] += grown
+        return loaded
+
+    limit = [0]
+    monkeypatch.setattr(cli, "_load", loading)
+    monkeypatch.setattr(cli, "_mapped_bytes", lambda: mapped[0])
+    monkeypatch.setattr(cli.resource, "getrlimit", lambda what: (limit[0], limit[0]))
+    input_term = max(0, 12 * cli._PEAK_BYTES_PER_INPUT_BYTE - grown)
+    estimate = 12 * cli._ALT_PATH_ENTRY_BYTES + 5 * cli._ALT_KEY_BYTES + input_term
+    mapped[0], limit[0] = base, base + grown + estimate
+    assert run(capsys, "compute", trace_file, "--bounds", "funnel,alt") == (
+        0,
+        "funnel\t8\nalt\t12\n",
+        "",
+    )
+    mapped[0], limit[0] = base, base + grown + estimate - 1
+    _no_kernel(monkeypatch)
+    assert run(capsys, "compute", trace_file, "--bounds", "funnel,alt") == (
+        1,
+        "",
+        "bstbounds: alt: the input and the reference tree's paths take about "
+        f"{estimate} bytes, over the cap of {estimate - 1} bytes of memory\n",
+    )
+
+
 def test_mapped_bytes_come_from_statm_or_the_measured_base(monkeypatch):
     with open("/proc/self/statm") as fh:
         pages = int(fh.read().split()[0])
@@ -1187,11 +1224,23 @@ def _modules_loaded_by(argv: list[str]) -> set[str]:
                 "bstbounds.mixing",
             ],
         ),
+        (
+            ["compute", "SWEEP", "--bounds", "irb-up,irb-down,funnel"],
+            ["bstbounds.sweep", "bstbounds.funnel"],
+            [
+                "bstbounds.alternation",
+                "bstbounds.zrect",
+                "bstbounds.verify",
+                "bstbounds.generators",
+                "bstbounds.mixing",
+            ],
+        ),
     ],
-    ids=["compute", "gen"],
+    ids=["compute", "gen", "irb"],
 )
-def test_a_command_imports_only_what_it_runs(trace_file, argv, loaded, absent):
-    modules = _modules_loaded_by([trace_file if a == "TRACE" else a for a in argv])
+def test_a_command_imports_only_what_it_runs(trace_file, sweep_file, argv, loaded, absent):
+    files = {"TRACE": trace_file, "SWEEP": sweep_file}  # the sweeps need distinct keys
+    modules = _modules_loaded_by([files.get(a, a) for a in argv])
     assert set(loaded) <= modules
     assert not modules & {*absent, "dataclasses"}
 

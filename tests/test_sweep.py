@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 import bstbounds as bb
+from bstbounds import sweep
 from bstbounds.funnel import funnel_of
+from bstbounds.generators import bit_reversal
 from bstbounds.geometry import PointSet, from_trace, hflip, rotate90
 from bstbounds.sweep import (
     ClassificationError,
@@ -199,3 +201,113 @@ def test_classification_matches_per_point_scan():
         assert types == classify_added_scan(P, out)
         charged += sum(top is not None for _, _, top in types)
     assert charged > 1000
+
+
+# The sweep kernel has two phases: a Cartesian-tree walk while its steps
+# stay within ``_STEP_BUDGET`` per access and corner, then the segment
+# tree.  Budget 0 hands over at the first step; an unlimited one never.
+BUDGETS = [0, 1, sweep._STEP_BUDGET, float("inf")]
+
+
+def strided(stride, rows):
+    """``stride`` ascending passes of ``rows`` keys ``stride`` apart, each
+    one key right of the last: ``j * stride + i`` for i < stride, j < rows."""
+    return [j * stride + i for i in range(stride) for j in range(rows)]
+
+
+def kernel_run(cols):
+    """The kernel's pairs and its tree phase's (steps, accesses)."""
+    phase = []
+    pairs = sweep._sweep_up(cols, phase)
+    return pairs, phase
+
+
+def family_sets():
+    traces = [
+        strided(9, 9),
+        strided(5, 20),
+        strided(20, 5),
+        strided(12, 7),
+        list(range(1, 120)),
+        list(range(120, 0, -1)),
+        bit_reversal(6),
+    ]
+    rng = random.Random(4242)
+    for m in (30, 90, 150):
+        traces.append(rng.sample(range(m), m))
+    for trace in traces:
+        P = from_trace(trace)
+        yield from (P, rotate90(P), hflip(P))
+    for P in sparse_sets(12, 80, seed=4343):
+        yield from (P, rotate90(P), hflip(P))
+
+
+@pytest.mark.parametrize("budget", BUDGETS, ids=["0", "1", "default", "unlimited"])
+def test_both_phases_match_rescan_oracle(monkeypatch, budget):
+    monkeypatch.setattr(sweep, "_STEP_BUDGET", budget)
+    for P in family_sets():
+        assert_sweeps_match_rescan(P)
+    for P in seeded_perms(150, 40, seed=4444):
+        assert_sweeps_match_rescan(P)
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        strided(90, 90),
+        strided(7, 500),
+        strided(500, 7),
+        bit_reversal(12),
+        list(range(3000)),
+        list(range(2999, -1, -1)),
+        random.Random(4545).sample(range(2500), 2500),
+    ],
+    ids=["stride-90", "stride-7", "stride-500", "bitrev-12", "ascending", "descending", "random"],
+)
+def test_tree_phase_matches_segment_tree_on_large_families(monkeypatch, cols):
+    runs = {}
+    for budget in BUDGETS:
+        monkeypatch.setattr(sweep, "_STEP_BUDGET", budget)
+        runs[budget] = kernel_run(cols)
+    segment, (_, handled) = runs[0]
+    assert handled <= 2 or not segment  # the first step passes budget 0
+    assert all(pairs == segment for pairs, _ in runs.values())
+    _, (_, handled) = runs[float("inf")]
+    assert handled == len(cols)  # an unlimited tree phase never hands over
+
+
+def test_stride_90_switches_and_a_random_permutation_does_not():
+    cols = strided(90, 90)
+    pairs, (steps, handled) = kernel_run(cols)
+    assert len(pairs) == 16020
+    assert 0 < handled < len(cols)
+    cols = random.Random(4646).sample(range(2500), 2500)
+    pairs, (steps, handled) = kernel_run(cols)
+    assert handled == len(cols)
+    assert steps < 6 * (len(cols) + len(pairs))
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [strided(50, 80), strided(80, 50), random.Random(4747).sample(range(4000), 4000)],
+    ids=["stride-50", "stride-80", "random"],
+)
+def test_tree_phase_steps_stay_within_budget(cols):
+    # Counted steps, not a clock: left to run, the tree phase takes
+    # 200,195-314,390 steps on these strided families, over 3x the bound.
+    pairs, (steps, handled) = kernel_run(cols)
+    m = len(cols)
+    assert steps <= sweep._STEP_BUDGET * (m + len(pairs)) + m
+    assert steps > 0 and 0 < handled <= m
+
+
+def test_counting_sweeps_build_no_points(monkeypatch):
+    def no_points(*args):
+        raise AssertionError("a counting sweep built its points")
+
+    monkeypatch.setattr(sweep, "_sweep", no_points)
+    for P in seeded_perms(20, 50, seed=4848):
+        assert irb_up(P) == len(sweep_up_rescan(P))
+        assert irb_down(P) == len(sweep_down_rescan(P))
+    with pytest.raises(ValueError, match="distinct x"):
+        irb_up(from_trace([1, 2, 1]))
