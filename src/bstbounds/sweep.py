@@ -20,37 +20,43 @@ can be a partner, since it blocks every lower point of its column.  The
 partners of an access in column r are therefore the chain of columns
 met walking left from r whose top is strictly higher than every top
 passed so far.  After the step the access's column and every partner
-column hold a point at the current time, the largest time yet.
+column hold a point at the current time, the largest time yet.  The
+kernel returns each corner's partner column and, per access, where its
+corners end; the counting sweeps take the length and build no points.
 
 The sweep runs in two phases.  The first keeps the non-empty columns
 in a Cartesian tree: in column order, and a max-heap on (top, column),
-so among equal tops the column further right ranks higher.  With
-distinct x the non-empty columns before time t are the columns of the
-first t accesses, so c1, the nearest of them left of r, is known for
-every access from one pass that deletes the columns from a linked list
-in reverse time order.  The partners are c1 and each ancestor of c1
-that c1 lies right of; its other ancestors lie right of r.  The walk
-from the root down to c1 meets the partners in ascending column and
-rebuilds the tree as it goes: r becomes the root; the partners form a
-left spine under it with c1 on top, each partner's right subtree being
-the old left subtree of the partner to its right; and the ancestors
-right of r are chained by left links above c1's old right subtree.
+so among equal tops the column further right ranks higher.  A column
+left of r is then a partner exactly when it is an ancestor of r's place
+in the tree, so a plain search for r meets the partners in ascending
+column, the last being c1, the nearest non-empty column left of r.  The
+search rebuilds the tree as it goes: r becomes the root; the partners
+form a left spine under it with c1 on top, each partner's right subtree
+being the old left subtree of the partner to its right; and the
+columns right of r that it meets are chained by left links under r's
+right.  The last of them keeps its old left link, which can point at a
+partner, now on the spine, so the search cuts it; left in place, it
+would close a cycle.
 
-A walk takes one step per partner and one per ancestor right of r.
-Random permutations take about 4-6 steps per access and corner, but
-some inputs (strided ones) take many more, so the first phase counts
-its steps and stops once they pass ``_STEP_BUDGET`` per access and
-corner handled so far.  The second phase then builds a max segment tree
-of the tops in O(m) and finishes the sweep: each partner is one descent
-("rightmost column left of c whose top exceeds v") and each write stops
-climbing at the first node that already holds the current time.  The
-first phase takes at most ``_STEP_BUDGET * (m + added) + m`` steps, so
-a sweep still costs O((m + added) * log m) for m accesses at worst.
+A search takes one step per partner and one per column right of r it
+meets: c1's ancestors right of r and the left spine of c1's right
+subtree.  Random permutations take about 4-6 steps per access and
+corner, but some inputs (strided ones) take many more, so the first
+phase counts its steps and stops once they pass ``_STEP_BUDGET`` per
+access and corner handled so far.  The second phase then builds a max
+segment tree of the tops in O(m) and finishes the sweep: each partner
+is one descent ("rightmost column left of c whose top exceeds v") and
+each write stops climbing at the first node that already holds the
+current time.  The budget is checked after every access and one search
+meets at most m columns, so the first phase takes at most
+``_STEP_BUDGET * (m + added) + m`` steps, and a sweep still costs
+O((m + added) * log m) for m accesses at worst.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import pairwise
 from typing import NamedTuple, Optional
 
 from .geometry import Point, PointSet, require_distinct_xy
@@ -68,58 +74,43 @@ class SweepOutput(NamedTuple):
 
 # Steps the tree phase of ``_sweep_up`` may take per access and corner
 # handled so far; past that it hands its tops to the segment tree.  A
-# step is one node a walk visits.  Random permutations take 3.9, 4.6,
-# 5.3 and 5.8 steps per access and corner at m = 2.5k, 10k, 40k and 100k;
-# the stride-90 family (``j * 90 + i``, m = 8100) takes 30.1 if left to
+# step is one node a search visits.  Random permutations take 4.0, 4.8,
+# 5.5 and 5.9 steps per access and corner at m = 2.5k, 10k, 40k and 100k;
+# the stride-90 family (``j * 90 + i``, m = 8100) takes 44.2 if left to
 # run, and hands over after 115 accesses.
 _STEP_BUDGET = 8
 
 
-def _sweep_up(cols: list[int], phase_out: Optional[list[int]] = None) -> list[tuple[int, int]]:
+def _sweep_up(
+    cols: list[int], phase_out: Optional[list[int]] = None
+) -> tuple[list[int], list[int]]:
     """Up-sweep over column ranks 0..m-1 in time order (distinct).
 
-    Returns one ``(column, time index)`` pair per added corner, grouped
-    by access in time order and, within an access, in descending y of
-    the partner, which is ascending column.  With ``phase_out`` given,
-    the tree phase's steps and the number of accesses it handled are
-    appended to it.
+    Returns the partner column of every added corner and ``ends``: the
+    corners of time index t are ``added[ends[t]:ends[t + 1]]``, in
+    descending y of the partner, which is ascending column.  With
+    ``phase_out`` given, the tree phase's steps and the number of
+    accesses it handled are appended to it.
     """
     m = len(cols)
-    # pred[t]: the nearest column left of cols[t] accessed before t, or
-    # -1.  Columns leave a linked list in reverse time order; slot m of
-    # each list is scratch for the ends, which index -1 reaches too.
-    before, after = list(range(-1, m)), list(range(1, m + 2))
-    pred = [0] * m
-    for t in range(m - 1, -1, -1):
-        c = cols[t]
-        p, n = before[c], after[c]
-        pred[t] = p
-        after[p] = n
-        before[n] = p
-
-    # Child links; None marks an empty subtree, so a walk that leaves
-    # the tree fails at once.
+    # Child links; None marks an empty subtree, where a search ends.
     left: list[Optional[int]] = [None] * m
     right: list[Optional[int]] = [None] * m
     top = [0] * m
+    ends = [0] * (m + 1)
     root: Optional[int] = None
-    added: list[tuple[int, int]] = []
-    climbed = 0  # steps onto ancestors right of the access
+    added: list[int] = []
+    climbed = 0  # steps onto columns right of the access
     budget = _STEP_BUDGET
     for t, r in enumerate(cols):
         now = t + 1
-        c = pred[t]
         top[r] = now
-        if c < 0:
-            right[r] = root
-            root = r
-            continue
-        # Walk down to c; spine is the last partner met, chain the last
-        # ancestor right of r.
+        # Search for r; spine is the last partner met, chain the last
+        # column right of r.
         node, spine, chain = root, None, None
-        while node != c:
-            if node < c:
-                added.append((node, t))
+        while node is not None:
+            if node < r:
+                added.append(node)
                 top[node] = now
                 if spine is not None:
                     right[spine] = left[node]
@@ -134,32 +125,29 @@ def _sweep_up(cols: list[int], phase_out: Optional[list[int]] = None) -> list[tu
                     right[r] = node
                 chain = node
                 node = left[node]
-        added.append((c, t))
-        top[c] = now
         if spine is not None:
-            right[spine] = left[c]
-            left[c] = spine
+            right[spine] = None
         if chain is not None:
-            left[chain] = right[c]
-        else:
-            right[r] = right[c]
-        right[c] = None
-        left[r] = c
+            left[chain] = None  # it may still point at a partner
+        left[r] = spine
         root = r
+        ends[now] = len(added)
         if climbed + len(added) > budget * (now + len(added)):
             break
     else:
         now = m
     if phase_out is not None:
         phase_out += (climbed + len(added), now)
-    return _segment_sweep(cols, top, now, added) if now < m else added
+    if now < m:
+        _segment_sweep(cols, top, now, added, ends)
+    return added, ends
 
 
 def _segment_sweep(
-    cols: list[int], top: list[int], start: int, added: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
+    cols: list[int], top: list[int], start: int, added: list[int], ends: list[int]
+) -> None:
     """The up-sweep from time index ``start`` on, with ``top`` each
-    column's top before it, appending to ``added``.
+    column's top before it, appending to ``added`` and ``ends``.
 
     The tops sit in a max segment tree: each partner is one descent
     ("rightmost column left of c whose top exceeds v") and each write
@@ -185,31 +173,32 @@ def _segment_sweep(
                 v = tree[i]
             else:
                 i >>= 1
-        added.extend((c, t) for c in reversed(chain))
+        added.extend(reversed(chain))
+        ends[now] = len(added)
         chain.append(r)
         for c in chain:
             i = size + c
             while i and tree[i] < now:
                 tree[i] = now
                 i >>= 1
-    return added
 
 
-def _sweep_pairs(
+def _sweep_columns(
     P: PointSet, mirrored: bool
-) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """P's keys in column order and the kernel's ``(column, time index)``
-    pairs; descending keys give the mirrored ranks m-1-r."""
+) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """P's keys in column order and the kernel's partner columns and
+    ``ends``; descending keys give the mirrored ranks m-1-r."""
     require_distinct_xy(P, "sweep_add_down" if mirrored else "sweep_add_up")
     keys = P.keys[::-1] if mirrored else P.keys
     rank = {x: i for i, x in enumerate(keys)}
-    return keys, _sweep_up([rank[x] for x in P.xs])
+    return keys, *_sweep_up([rank[x] for x in P.xs])
 
 
 def _sweep(P: PointSet, mirrored: bool) -> tuple[Point, ...]:
-    keys, pairs = _sweep_pairs(P, mirrored)
-    ys = P.ys
-    return tuple((keys[c], ys[t]) for c, t in pairs)
+    keys, added, ends = _sweep_columns(P, mirrored)
+    return tuple(
+        (keys[c], y) for y, (a, b) in zip(P.ys, pairwise(ends)) for c in added[a:b]
+    )
 
 
 def sweep_add_up(P: PointSet) -> SweepOutput:
@@ -227,12 +216,12 @@ def sweep_add_down(P: PointSet) -> SweepOutput:
 
 def irb_up(P: PointSet) -> int:
     """The up-sweep's count of added points, without building them."""
-    return len(_sweep_pairs(P, mirrored=False)[1])
+    return len(_sweep_columns(P, mirrored=False)[1])
 
 
 def irb_down(P: PointSet) -> int:
     """The down-sweep's count of added points, without building them."""
-    return len(_sweep_pairs(P, mirrored=True)[1])
+    return len(_sweep_columns(P, mirrored=True)[1])
 
 
 class AddedPointType(NamedTuple):

@@ -802,6 +802,9 @@ def test_sweep_to_writes_serialization(capsys, sweep_file, tmp_path):
     text = dest.read_text()
     assert "A 4 0" in text
     assert "+ 2 3 c" in text
+    # Only a regular file is emptied first, as opening it with "w" would.
+    code, _, _ = run(capsys, "compute", sweep_file, "--bounds", "irb-up", "--sweep-to", os.devnull)
+    assert code == 0
 
 
 def test_sweep_to_needs_exactly_one_direction(capsys, sweep_file, tmp_path):
@@ -870,6 +873,24 @@ def test_unwritable_sweep_destination_fails_before_the_sweep(
     assert calls == []
     assert out == ""
     assert str(dest) in err
+
+
+@pytest.mark.parametrize(
+    "text, code", [("1\n2\nx\n", 2), ("1\n2\n1\n", 1)], ids=["parse-error", "repeated-keys"]
+)
+def test_a_failed_run_leaves_the_sweep_destination_as_it_was(capsys, tmp_path, text, code):
+    source = tmp_path / "in.txt"
+    source.write_text(text)
+    dest = tmp_path / "out.sweep"
+    dest.write_text("keep me\n")
+    got, out, _ = run(capsys, "compute", str(source), "--bounds", "irb-up", "--sweep-to", str(dest))
+    assert (got, out) == (code, "")
+    assert dest.read_text() == "keep me\n"
+    # A run that succeeds replaces the whole file, a longer one included.
+    dest.write_text("x\n" * 1000)
+    source.write_text("1\n2\n")
+    assert run(capsys, "compute", str(source), "--bounds", "irb-up", "--sweep-to", str(dest))[0] == 0
+    assert dest.read_text() == "A 1 1\n+ 1 2 ab\nA 2 2\n"
 
 
 def test_sweep_destination_may_not_be_the_input(capsys, trace_file):
@@ -1243,6 +1264,46 @@ def test_a_command_imports_only_what_it_runs(trace_file, sweep_file, argv, loade
     modules = _modules_loaded_by([files.get(a, a) for a in argv])
     assert set(loaded) <= modules
     assert not modules & {*absent, "dataclasses"}
+
+
+_TIMER_PROBE = """
+import sys
+from bstbounds import cli
+wanted = sys.argv[1].split(",")
+seen = []
+
+class Clock:
+    def perf_counter(self):
+        if not seen:
+            seen.append([m for m in wanted if m not in sys.modules])
+        return 0.0
+
+cli.time = Clock()
+code = cli.main(sys.argv[2:])
+print(*seen[0], file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_no_bound_is_timed_with_another_bound_s_import(sweep_file):
+    # A bound's time covers its kernel only: every module the bounds
+    # need is imported before the first timer starts.
+    modules = "bstbounds.sweep,bstbounds.zrect,bstbounds.funnel"
+    argv = ["compute", sweep_file, "--bounds", "irb-up,irb-down,zrects,funnel", "--tsv"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMER_PROBE, modules, *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        check=True,
+    )
+    assert proc.stderr == "\n"
+    assert [line.split("\t")[0] for line in proc.stdout.splitlines()] == [
+        "irb-up",
+        "irb-down",
+        "zrects",
+        "funnel",
+    ]
 
 
 def test_every_public_name_resolves():

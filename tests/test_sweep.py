@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -216,9 +217,11 @@ def strided(stride, rows):
 
 
 def kernel_run(cols):
-    """The kernel's pairs and its tree phase's (steps, accesses)."""
+    """The kernel's ``(column, time index)`` pairs and its tree phase's
+    (steps, accesses)."""
     phase = []
-    pairs = sweep._sweep_up(cols, phase)
+    added, ends = sweep._sweep_up(cols, phase)
+    pairs = [(c, t) for t in range(len(cols)) for c in added[ends[t] : ends[t + 1]]]
     return pairs, phase
 
 
@@ -311,3 +314,19 @@ def test_counting_sweeps_build_no_points(monkeypatch):
         assert irb_down(P) == len(sweep_down_rescan(P))
     with pytest.raises(ValueError, match="distinct x"):
         irb_up(from_trace([1, 2, 1]))
+
+
+def test_counting_sweeps_hold_one_slot_per_corner():
+    # Each corner costs the kernel one list slot (8 B) for its partner's
+    # column; a (column, time) pair per corner costs 72 B.
+    keys = random.Random(4949).sample(range(5000), 5000)
+    P = from_trace(keys)
+    for count in (irb_up, irb_down):
+        tracemalloc.start()
+        try:
+            corners = count(P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert corners > 4 * len(P)
+        assert peak < 16 * corners + 200 * len(P)
