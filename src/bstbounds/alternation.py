@@ -224,8 +224,8 @@ def alt_opt(P: PointSet) -> AltWitness:
     for n distinct keys and P funnel pairs (Σ funnel sizes).
 
     The walk is kept apart from ``funnel.move_to_root``, which counts
-    runs: reporting each node from that kernel's inner loops would slow
-    the funnel bound.
+    runs: both start their unzip on a head, but reporting each node from
+    that kernel's inner loops would slow the funnel bound.
 
     Ties pick the leftmost split, so the witness is deterministic.
     """

@@ -16,10 +16,10 @@ access whose key is already in the tree stops the walk there, since
 the earlier access blocks both sides; that node is spliced out, its
 left subtree going to the left part and its right subtree to the right
 part.  ``funnel_bound_fast`` and ``zrect.zrects`` are thin wrappers
-over it.  ``funnel_bound_fast`` passes the input's repeat plan, so a
-block repeated r times is walked twice: on the full separation sequence
-(129 blocks of 8 keys, 256 times each) that is 2,064 of 264,192
-accesses.
+over it.  The kernel takes the point set and folds it by its own repeat
+plan, so a block repeated r times is walked twice: on the full
+separation sequence (129 blocks of 8 keys, 256 times each) that is
+2,064 of 264,192 accesses.
 
 ``funnel_of`` is the one definition scan, a backward walk from one
 point; ``f_value`` and ``funnel_bound``, their sum, are the oracle and
@@ -31,9 +31,9 @@ per point or summed, comes from the kernel.  Only ``f_value`` needs
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
-from .geometry import Point, PointSet, Repeat, require_distinct_y, stretches
+from .geometry import Point, PointSet, require_distinct_y, stretches
 
 
 class FunnelView(NamedTuple):
@@ -121,21 +121,22 @@ class _Node:
 
 
 def move_to_root(
-    points: Iterable[Point],
+    P: PointSet,
     zrects: list[ZRect] | None = None,
     runs_out: list[int] | None = None,
-    repeats: Sequence[Repeat] = (),
 ) -> int:
-    """Funnel bound of time-ordered points, and optionally their z-rectangles.
+    """Funnel bound of P, and optionally its z-rectangles.
 
     Each key lives in one node holding its latest access; ancestors are
     more recent accesses, so the root-to-key path of an access p lists
     its funnel in descending time, and a step to the left marks a point
     right of p.  The walk counts direction runs and unzips the tree into
-    p's left and right subtrees in the same pass.  On an equal key the
-    walk stops, because that key blocks both sides: its node is spliced
-    out, its left subtree hung on the left tail and its right subtree on
-    the right tail, and it becomes the new root.
+    p's left and right subtrees in the same pass, starting both parts
+    on one head node: its right link roots the left part and its left
+    link the right part.  On an equal key the walk stops, because that
+    key blocks both sides: its node is spliced out, its left subtree
+    hung on the left tail and its right subtree on the right tail, and
+    it becomes the new root.
 
     With ``zrects`` given (distinct keys), every left-run with a
     right-run on both sides, ``R L+ R`` on the path, appends one
@@ -143,35 +144,34 @@ def move_to_root(
     node ending it, right the last R node before it.
 
     With ``runs_out`` given, each access's run count, its ``f_value``,
-    is appended to it in the order of ``points``.
+    is appended to it in time order.
 
-    ``repeats``, the points' repeat plan (``PointSet.repeats``), folds
-    each repeated block: the runs of the period before a plan entry's
-    start are added ``count`` more times, and those points are skipped.
-    After whole periods the tree has the shape it had after one, since
-    it is the Cartesian tree of the keys by their latest access; only
-    the times held in the block's nodes are stale, and only z-rectangles
-    read them, which need distinct keys and so no plan.
+    P's repeat plan (``PointSet.repeats``) folds each repeated block:
+    the runs of the period before a plan entry's start are added
+    ``count`` more times, and those points are skipped.  After whole
+    periods the tree has the shape it had after one, since it is the
+    Cartesian tree of the keys by their latest access; only the times
+    held in the block's nodes are stale, and only z-rectangles read
+    them, which need distinct keys and so no plan.
     """
-    assert zrects is None or not repeats, "z-rectangles read every access's time"
+    assert zrects is None or not P.repeats, "z-rectangles read every access's time"
+    head = _Node(0)
     root: _Node | None = None
     total = mark = 0
-    for stretch, period, count in stretches(iter(points), repeats):
+    for stretch, period, count in stretches(zip(P.xs, P.ys), P.repeats):
         for x, y in stretch:
             node = root
-            l_root = r_root = l_tail = r_tail = None
+            l_tail = r_tail = head
             runs = 0
             while node is not None:
                 k = node.key
                 if x < k:  # right-side funnel point: a right-run starts
                     runs += 1
-                    if zrects is not None and l_tail is not None and r_tail is not None:
+                    # A right-run before this one ended at a left-run.
+                    if zrects is not None and r_tail is not head:
                         left = (l_tail.key, l_tail.y)
                         zrects.append(ZRect((x, y), left, (k, node.y), (r_tail.key, r_tail.y)))
-                    if r_tail is None:
-                        r_root = node
-                    else:
-                        r_tail.left = node
+                    r_tail.left = node
                     r_tail = node
                     node = node.left
                     while node is not None and x < node.key:
@@ -180,10 +180,7 @@ def move_to_root(
                         node = node.left
                 elif x > k:  # left-side funnel point: a left-run starts
                     runs += 1
-                    if l_tail is None:
-                        l_root = node
-                    else:
-                        l_tail.right = node
+                    l_tail.right = node
                     l_tail = node
                     node = node.right
                     while node is not None and x > node.key:
@@ -191,24 +188,16 @@ def move_to_root(
                         l_tail = node
                         node = node.right
                 else:  # earlier access of the same key: splice it out
-                    if l_tail is None:
-                        l_root = node.left
-                    else:
-                        l_tail.right = node.left
-                    if r_tail is None:
-                        r_root = node.right
-                    else:
-                        r_tail.left = node.right
+                    l_tail.right = node.left
+                    r_tail.left = node.right
                     break
             else:
-                if l_tail is not None:
-                    l_tail.right = None
-                if r_tail is not None:
-                    r_tail.left = None
+                l_tail.right = None
+                r_tail.left = None
                 node = _Node(x)
             node.y = y
-            node.left = l_root
-            node.right = r_root
+            node.left = head.right
+            node.right = head.left
             root = node
             total += runs
             if runs_out is not None:
@@ -229,4 +218,4 @@ def funnel_bound_fast(P: PointSet) -> int:
     ``funnel_bound``.
     """
     require_distinct_y(P, "funnel_bound_fast")
-    return move_to_root(zip(P.xs, P.ys), repeats=P.repeats)
+    return move_to_root(P)

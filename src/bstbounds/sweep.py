@@ -94,7 +94,8 @@ def _sweep_up(
     """
     m = len(cols)
     # Child links; None marks an empty subtree, where a search ends.
-    left: list[Optional[int]] = [None] * m
+    # Slot m of ``left`` heads the chain of columns right of r.
+    left: list[Optional[int]] = [None] * (m + 1)
     right: list[Optional[int]] = [None] * m
     top = [0] * m
     ends = [0] * (m + 1)
@@ -106,8 +107,8 @@ def _sweep_up(
         now = t + 1
         top[r] = now
         # Search for r; spine is the last partner met, chain the last
-        # column right of r.
-        node, spine, chain = root, None, None
+        # column right of r (m before the first).
+        node, spine, chain = root, None, m
         while node is not None:
             if node < r:
                 added.append(node)
@@ -119,16 +120,13 @@ def _sweep_up(
                 node = right[node]
             else:
                 climbed += 1
-                if chain is not None:
-                    left[chain] = node
-                else:
-                    right[r] = node
+                left[chain] = node
                 chain = node
                 node = left[node]
         if spine is not None:
             right[spine] = None
-        if chain is not None:
-            left[chain] = None  # it may still point at a partner
+        left[chain] = None  # it may still point at a partner
+        right[r] = left[m]  # after the cut, which empties slot m if chain is m
         left[r] = spine
         root = r
         ends[now] = len(added)

@@ -13,9 +13,9 @@ independent value; every other funnel value, per access or summed, comes
 from the move-to-root kernel, whose sum must equal it.  The kernel
 replays the input once, for its per-access run counts and, with
 distinct keys, its z-rectangle count.  Both replays, of the input and
-of its key mirror, fold the input's repeated blocks by its repeat plan,
-which the mirror shares; the definition scan folds nothing, so
-``funnel-hflip`` checks the fold on every run.
+of its key mirror, fold their repeated blocks, each by its own repeat
+plan, and a mirror's plan equals the input's; the definition scan folds
+nothing, so ``funnel-hflip`` checks the fold on every run.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     # keys, its z-rectangles, of which only the count is kept.
     runs: list[int] = []
     found: list[funnel.ZRect] | None = [] if P.has_distinct_x else None
-    funnel.move_to_root(zip(P.xs, P.ys), found, runs, P.repeats)
+    funnel.move_to_root(P, found, runs)
     zr = len(found) if found is not None else 0
     del found
     m = len(P)
@@ -112,7 +112,7 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     # Flip invariance holds pointwise, not just in the sum; the kernel's
     # sum must also equal the reference.  Flipping keeps the time order.
     flipped_runs: list[int] = []
-    funnel.move_to_root(hflip(P), runs_out=flipped_runs, repeats=P.repeats)
+    funnel.move_to_root(hflip(P), runs_out=flipped_runs)
     report.add(
         "funnel-hflip",
         runs == flipped_runs and fb == sum(runs),

@@ -57,7 +57,7 @@ def zrects(P: PointSet) -> ZRectResult:
     """
     require_distinct_xy(P, "zrects")
     found: list[ZRect] = []
-    move_to_root(zip(P.xs, P.ys), found)
+    move_to_root(P, found)
     found.sort()
     return ZRectResult(len(found), found)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+import signal
 from itertools import accumulate
 
 import pytest
@@ -64,6 +65,39 @@ WORKED_EXAMPLES = [
     ZR_MISORDERED,
     SWEEP_SET,
 ]
+
+
+# Seconds one test may run; the slowest takes about 3 s.  A tree link
+# that closes a cycle makes a kernel loop forever, and this ends the
+# session with a failure instead of stalling it.
+_TEST_DEADLINE = 120
+
+
+class _Overrun(BaseException):
+    """A test ran past ``_TEST_DEADLINE``.  Not an ``Exception``, so that
+    Hypothesis does not take it for a failing example and replay it."""
+
+
+@pytest.fixture(autouse=True)
+def _deadline():
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    expired = []
+
+    def expire(signum, frame):
+        expired.append(signum)
+        raise _Overrun(f"ran past {_TEST_DEADLINE} s: a kernel may loop forever")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(_TEST_DEADLINE)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    if expired:  # the test fails with the overrun; the session ends here
+        pytest.exit(f"a test ran past {_TEST_DEADLINE} s", returncode=1)
 
 
 def pointset_of_trace(keys: list[int]) -> PointSet:

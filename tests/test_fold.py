@@ -88,8 +88,8 @@ def _assert_fold_exact(P: PointSet, rng: random.Random, reference: bool = True) 
         assert fb == funnel_bound(P)
     runs: list[int] = []
     plain_runs: list[int] = []
-    assert move_to_root(zip(P.xs, P.ys), runs_out=runs, repeats=P.repeats) == fb
-    move_to_root(zip(P.xs, P.ys), runs_out=plain_runs)
+    assert move_to_root(P, runs_out=runs) == fb
+    move_to_root(plain, runs_out=plain_runs)
     assert runs == plain_runs
     keys = P.keys
     for tree in (balanced_tree(keys), random_tree(keys, rng), _caterpillar(keys)):
@@ -180,7 +180,7 @@ def test_folded_kernels_on_seeded_block_traces():
 def test_zrects_refuse_a_plan():
     P = from_trace([1, 2] * 4)
     with pytest.raises(AssertionError):
-        move_to_root(zip(P.xs, P.ys), [], None, P.repeats)
+        move_to_root(P, [], None)
 
 
 @pytest.mark.parametrize("k, reps, entries, count", [(2, None, 9, 14), (3, 4, 129, 2)])

@@ -165,17 +165,17 @@ def test_fast_mode_matches_reference_on_repeated_x(P):
 
 def _assert_kernel_runs_are_point_values(P):
     runs: list[int] = []
-    total = move_to_root(P.by_y, runs_out=runs)
+    total = move_to_root(P, runs_out=runs)
     assert runs == [f_value(P, p) for p in P.by_y]
     assert total == sum(runs)
 
 
 def test_kernel_runs_worked_examples():
     runs: list[int] = []
-    move_to_root(from_trace(FUNNEL_TRACE).by_y, runs_out=runs)
+    move_to_root(from_trace(FUNNEL_TRACE), runs_out=runs)
     assert runs[FUNNEL_POINT[1] - 1] == 3
     runs.clear()
-    move_to_root(TRIO.by_y, runs_out=runs)
+    move_to_root(TRIO, runs_out=runs)
     assert runs == [0, 1, 2]
 
 

@@ -110,11 +110,10 @@ def test_input_is_replayed_once(monkeypatch):
     replays = []
     real = bstbounds.funnel.move_to_root
 
-    def counting(points, zrects=None, runs_out=None, repeats=()):
-        points = list(points)
-        if points == list(zip(P.xs, P.ys)):
-            replays.append(points)
-        return real(points, zrects, runs_out, repeats)
+    def counting(Q, zrects=None, runs_out=None):
+        if Q is P:
+            replays.append(Q)
+        return real(Q, zrects, runs_out)
 
     monkeypatch.setattr(bstbounds.funnel, "move_to_root", counting)
     monkeypatch.setattr(bstbounds.zrect, "move_to_root", counting)
@@ -128,8 +127,8 @@ def test_kernel_off_by_one_fails_funnel_hflip(monkeypatch):
     # single access must break the reference == kernel sum check.
     real = bstbounds.funnel.move_to_root
 
-    def off_by_one(points, zrects=None, runs_out=None, repeats=()):
-        total = real(points, zrects, runs_out, repeats)
+    def off_by_one(Q, zrects=None, runs_out=None):
+        total = real(Q, zrects, runs_out)
         if runs_out:
             runs_out[-1] += 1
             total += 1
@@ -148,10 +147,9 @@ def test_kernel_pointwise_fault_fails_funnel_hflip(monkeypatch):
     real = bstbounds.funnel.move_to_root
     P = perm_pointset(30, 7)
 
-    def shifted(points, zrects=None, runs_out=None, repeats=()):
-        points = list(points)
-        total = real(points, zrects, runs_out, repeats)
-        if runs_out and points == P.by_y:
+    def shifted(Q, zrects=None, runs_out=None):
+        total = real(Q, zrects, runs_out)
+        if runs_out and Q is P:
             runs_out[-1] += 1
             runs_out[0] -= 1
         return total
@@ -162,8 +160,8 @@ def test_kernel_pointwise_fault_fails_funnel_hflip(monkeypatch):
 
 
 def test_wrong_repeat_plan_fails_funnel_hflip(monkeypatch):
-    # Negative control for the fold: both replays read P's plan, and the
-    # definition scan folds nothing.  A plan that claims one copy too
+    # Negative control for the fold: both replays read the patched plan,
+    # and the definition scan folds nothing.  A plan that claims one copy too
     # many folds [2, 1, 3] in as a copy of the block [1, 2, 3].
     P = from_trace([1, 2, 3] * 4 + [2, 1, 3])
     assert P.repeats == [(6, 3, 2)]
