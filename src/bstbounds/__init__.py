@@ -18,7 +18,7 @@ _EXPORTS = {
         "random_tree",
         "tree_leaves",
     ),
-    "funnel": ("ZRect", "funnel_bound", "funnel_bound_fast"),
+    "funnel": ("funnel_bound", "funnel_bound_fast"),
     "generators": (
         "SeparationParams",
         "bit_reversal",

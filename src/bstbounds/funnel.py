@@ -10,8 +10,8 @@ bound sums the contributions.
 in time order through a tree that keeps each key's latest access, with
 more recent accesses as ancestors, and brings every access to the root.
 The root-to-key path of an access is then its funnel in descending
-time, so its direction runs are the point's contribution and its
-``R L+ R`` patterns are the z-rectangles with that point on top.  An
+time, so its direction runs are the point's contribution.  The kernel
+counts runs only; ``zrect`` reads the z-rectangles off those runs.  An
 access whose key is already in the tree stops the walk there, since
 the earlier access blocks both sides; that node is spliced out, its
 left subtree going to the left part and its right subtree to the right
@@ -101,34 +101,20 @@ def funnel_bound(P: PointSet) -> int:
     return sum(f_value(P, p) for p in P)
 
 
-class ZRect(NamedTuple):
-    """One z-rectangle: its four points by role."""
-
-    top: Point
-    left: Point
-    bottom: Point
-    right: Point
-
-
 class _Node:
-    __slots__ = ("key", "y", "left", "right")
+    __slots__ = ("key", "left", "right")
 
     def __init__(self, key: int):
         self.key = key
-        self.y = 0  # time of the key's latest access
         self.left: _Node | None = None
         self.right: _Node | None = None
 
 
-def move_to_root(
-    P: PointSet,
-    zrects: list[ZRect] | None = None,
-    runs_out: list[int] | None = None,
-) -> int:
-    """Funnel bound of P, and optionally its z-rectangles.
+def move_to_root(P: PointSet, runs_out: list[int] | None = None) -> int:
+    """Funnel bound of P.
 
-    Each key lives in one node holding its latest access; ancestors are
-    more recent accesses, so the root-to-key path of an access p lists
+    Each key lives in one node, placed by its latest access; ancestors
+    are more recent accesses, so the root-to-key path of an access p lists
     its funnel in descending time, and a step to the left marks a point
     right of p.  The walk counts direction runs and unzips the tree into
     p's left and right subtrees in the same pass, starting both parts
@@ -138,11 +124,6 @@ def move_to_root(
     hung on the left tail and its right subtree on the right tail, and
     it becomes the new root.
 
-    With ``zrects`` given (distinct keys), every left-run with a
-    right-run on both sides, ``R L+ R`` on the path, appends one
-    z-rectangle: top p, left the last L node of the run, bottom the R
-    node ending it, right the last R node before it.
-
     With ``runs_out`` given, each access's run count, its ``f_value``,
     is appended to it in time order.
 
@@ -150,16 +131,13 @@ def move_to_root(
     the runs of the period before a plan entry's start are added
     ``count`` more times, and those points are skipped.  After whole
     periods the tree has the shape it had after one, since it is the
-    Cartesian tree of the keys by their latest access; only the times
-    held in the block's nodes are stale, and only z-rectangles read
-    them, which need distinct keys and so no plan.
+    Cartesian tree of the keys by their latest access.
     """
-    assert zrects is None or not P.repeats, "z-rectangles read every access's time"
     head = _Node(0)
     root: _Node | None = None
     total = mark = 0
-    for stretch, period, count in stretches(zip(P.xs, P.ys), P.repeats):
-        for x, y in stretch:
+    for stretch, period, count in stretches(iter(P.xs), P.repeats):
+        for x in stretch:
             node = root
             l_tail = r_tail = head
             runs = 0
@@ -167,10 +145,6 @@ def move_to_root(
                 k = node.key
                 if x < k:  # right-side funnel point: a right-run starts
                     runs += 1
-                    # A right-run before this one ended at a left-run.
-                    if zrects is not None and r_tail is not head:
-                        left = (l_tail.key, l_tail.y)
-                        zrects.append(ZRect((x, y), left, (k, node.y), (r_tail.key, r_tail.y)))
                     r_tail.left = node
                     r_tail = node
                     node = node.left
@@ -195,7 +169,6 @@ def move_to_root(
                 l_tail.right = None
                 r_tail.left = None
                 node = _Node(x)
-            node.y = y
             node.left = head.right
             node.right = head.left
             root = node

@@ -280,9 +280,12 @@ def classify_added(P: PointSet, out: SweepOutput) -> list[AddedPointType]:
             # the lowest added point above; it exists, as y is not highest
             d = access_by_y.get(column[bisect_right(column, y)])
             if tops is None:
-                from .zrect import zrects
+                from .funnel import move_to_root
+                from .zrect import zrect_counts
 
-                tops = {w.top for w in zrects(P).witnesses}
+                runs: list[int] = []
+                move_to_root(P, runs)
+                tops = {p for p, z in zip(P, zrect_counts(P.xs, runs)) if z}
             if d is None or d not in tops:
                 raise ClassificationError(
                     f"added point ({x}, {y}) fits no charging type"

@@ -11,11 +11,13 @@ notice) when the input has repeated x-coordinates.
 The funnel's definition scan runs once, on the input itself, as the
 independent value; every other funnel value, per access or summed, comes
 from the move-to-root kernel, whose sum must equal it.  The kernel
-replays the input once, for its per-access run counts and, with
-distinct keys, its z-rectangle count.  Both replays, of the input and
-of its key mirror, fold their repeated blocks, each by its own repeat
-plan, and a mirror's plan equals the input's; the definition scan folds
-nothing, so ``funnel-hflip`` checks the fold on every run.
+replays the input once, for its per-access run counts; with distinct
+keys, the z-rectangle count is a formula over those runs and each
+access's previous key (``zrect.zrect_counts``).  Both replays, of the
+input and of its key mirror, fold their repeated blocks, each by its
+own repeat plan, and a mirror's plan equals the input's; the
+definition scan folds nothing, so ``funnel-hflip`` checks the fold on
+every run.
 """
 
 from __future__ import annotations
@@ -80,27 +82,25 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     fb = funnel.funnel_bound(P)
     fb_rev = funnel.funnel_bound_fast(time_reverse(P))
     # One replay of P gives every access's run count and, with distinct
-    # keys, its z-rectangles, of which only the count is kept.
+    # keys, its z-rectangles.
     runs: list[int] = []
-    found: list[funnel.ZRect] | None = [] if P.has_distinct_x else None
-    funnel.move_to_root(P, found, runs)
-    zr = len(found) if found is not None else 0
-    del found
+    funnel.move_to_root(P, runs)
+    zr = sum(zrect.zrect_counts(P.xs, runs)) if P.has_distinct_x else 0
     m = len(P)
     keys = P.keys
     n = len(keys)
 
     # Two-sided domination: funnel(P) + funnel(rev P) >= alt_T(P) for every tree T.
     if level == "full" and 0 < n <= _ALT_OPT_KEYS:
-        witnesses = [alternation.alt_opt(P)]
+        candidates = [alternation.alt_opt(P)]
     else:
         trees = [alternation.balanced_tree(keys)] if n else []
         if level == "full" and n:
             rng = random.Random(seed)
             trees += [alternation.random_tree(keys, rng) for _ in range(20)]
-        witnesses = ((alternation.alt_bound(P, t), t) for t in trees)
+        candidates = ((alternation.alt_bound(P, t), t) for t in trees)
     bad = ""
-    for alt, tree in witnesses:
+    for alt, tree in candidates:
         if fb + fb_rev < alt:
             bad = (
                 f"funnel {fb} + reverse funnel {fb_rev} < alt {alt} "
@@ -129,6 +129,8 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
 
     report.add("funnel-vs-zrects", fb >= 2 * zr, f"funnel {fb} < 2*{zr}")
 
+    # The count is a formula over the same runs, so this checks the
+    # formula against the runs' floor, not an independent count.
     per_point = sum(max(0, r // 2 - 1) for r in runs)
     report.add(
         "zrects-per-point", zr >= per_point, f"zrects {zr} < per-point sum {per_point}"

@@ -6,29 +6,31 @@ axis-aligned box contains no other point of the set.  Counting them
 requires distinct x- and y-coordinates; on degenerate inputs the count
 is meaningless, so such inputs are refused.
 
-``zrects`` reads them off the funnel walk of ``funnel.move_to_root``.
-Label each point of the top's funnel R or L by side and read it in
-descending time.  Every ``R L+ R`` pattern is exactly one z-rectangle:
-left is the last L of the run (the closest to the top in x), bottom is
-the R that ends the run, and right is the last R before the run.
-Conversely, the left, bottom and right of a z-rectangle all lie in
-the top's funnel, and a funnel point between them in time would lie
-inside the box.  ``is_zrect`` and ``zrects_brute`` check the definition literally and
-serve as oracles.
+``zrects`` reads them off the funnel runs that ``funnel.move_to_root``
+counts.  Label each point of the top's funnel R or L by side and read
+it in descending time.  Every ``R L+ R`` pattern is exactly one
+z-rectangle: left is the last L of the run (the closest to the top in
+x), bottom is the R that ends the run, and right is the last R before
+the run.  Conversely, the left, bottom and right of a z-rectangle all
+lie in the top's funnel, and a funnel point between them in time would
+lie inside the box.  The labels alternate run by run, so the patterns
+are a formula over the run count and the first label, and the first
+funnel point is always the previous access, as nothing lies between
+the two in time (``zrect_counts``).  ``is_zrect`` and ``zrects_brute``
+check the definition literally and serve as oracles.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .funnel import ZRect, move_to_root
+from .funnel import move_to_root
 from .geometry import Point, PointSet, require_distinct_xy
 
 
 class ZRectResult(NamedTuple):
     count: int
-    witnesses: list[ZRect]
 
 
 def is_zrect(P: PointSet, p: Point, q: Point, r: Point, s: Point) -> bool:
@@ -48,18 +50,27 @@ def is_zrect(P: PointSet, p: Point, q: Point, r: Point, s: Point) -> bool:
     return inside == 4
 
 
-def zrects(P: PointSet) -> ZRectResult:
-    """Count all z-rectangles and return them, canonically sorted.
+def zrect_counts(xs: Sequence[int], runs: Sequence[int]) -> list[int]:
+    """Per access of distinct keys, in time order, the z-rectangles it
+    tops, from its key column ``xs`` and its funnel run counts ``runs``.
 
-    Read off the move-to-root funnel walk: the z-rectangles with top p
-    are the left-runs with a right-run on both sides in p's funnel,
-    taken in descending time.
+    With k runs, an access whose funnel starts right (the previous
+    access has the larger key) tops ``(k - 1) // 2``, one per L run
+    with an R run on both sides.  Otherwise its first run, if any, is
+    an L run with no R before it, which leaves ``max(0, (k - 2) // 2)``.
     """
+    return [
+        (k - 1) // 2 if t and xs[t - 1] > xs[t] else max(0, (k - 2) // 2)
+        for t, k in enumerate(runs)
+    ]
+
+
+def zrects(P: PointSet) -> ZRectResult:
+    """Count all z-rectangles, from one move-to-root replay's runs."""
     require_distinct_xy(P, "zrects")
-    found: list[ZRect] = []
-    move_to_root(P, found)
-    found.sort()
-    return ZRectResult(len(found), found)
+    runs: list[int] = []
+    move_to_root(P, runs)
+    return ZRectResult(sum(zrect_counts(P.xs, runs)))
 
 
 def zrects_brute(P: PointSet, max_points: int = 12) -> int:

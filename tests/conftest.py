@@ -6,6 +6,7 @@ import functools
 import random
 import signal
 from itertools import accumulate
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -54,7 +55,19 @@ SWEEP_LABELS = {
     (3, 6): "b",
     (4, 6): "ab",
 }
-SWEEP_ZRECT = bb.ZRect(top=(3, 5), left=(2, 2), bottom=(4, 0), right=(6, 3))
+
+
+class ZRect(NamedTuple):
+    """One z-rectangle found by ``zrects_forced_roles``: its four points
+    by role."""
+
+    top: Point
+    left: Point
+    bottom: Point
+    right: Point
+
+
+SWEEP_ZRECT = ZRect(top=(3, 5), left=(2, 2), bottom=(4, 0), right=(6, 3))
 
 WORKED_EXAMPLES = [
     bb.from_trace(SIX_TRACE),
@@ -194,7 +207,7 @@ def disjoint_int_sets(draw, max_size: int = 20) -> tuple[set[int], set[int]]:
     return left, set(pool) - left
 
 
-def zrects_forced_roles(P: PointSet) -> list:
+def zrects_forced_roles(P: PointSet) -> list[ZRect]:
     """Cubic z-rectangle scan, kept as an oracle for ``zrects``.
 
     For a candidate (top, bottom) pair the other two roles are forced:
@@ -224,7 +237,7 @@ def zrects_forced_roles(P: PointSet) -> list:
                 continue
             band_hits = sum(1 for tb in range(tr + 1, ti) if qx <= pts[tb][0] <= sx)
             if band_hits == 2:  # exactly the forced left and right points
-                found.append(bb.ZRect((px, py), (qx, qy), (rx, ry), (sx, sy)))
+                found.append(ZRect((px, py), (qx, qy), (rx, ry), (sx, sy)))
     found.sort()
     return found
 

@@ -1310,7 +1310,6 @@ def test_every_public_name_resolves():
     for name in bb.__all__:
         assert getattr(bb, name) is getattr(bb, name)
     assert bb.run_checks is bstbounds.verify.run_checks
-    assert bb.ZRect is bstbounds.funnel.ZRect
     with pytest.raises(AttributeError, match="no_such_name"):
         bb.no_such_name
 

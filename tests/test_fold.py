@@ -177,12 +177,6 @@ def test_folded_kernels_on_seeded_block_traces():
         _assert_fold_exact(P, rng, reference=False)
 
 
-def test_zrects_refuse_a_plan():
-    P = from_trace([1, 2] * 4)
-    with pytest.raises(AssertionError):
-        move_to_root(P, [], None)
-
-
 @pytest.mark.parametrize("k, reps, entries, count", [(2, None, 9, 14), (3, 4, 129, 2)])
 def test_separation_sequences_fold_one_entry_per_block(k, reps, entries, count):
     trace = bb.separation_sequence(bb.SeparationParams(k, reps))

@@ -110,10 +110,10 @@ def test_input_is_replayed_once(monkeypatch):
     replays = []
     real = bstbounds.funnel.move_to_root
 
-    def counting(Q, zrects=None, runs_out=None):
+    def counting(Q, runs_out=None):
         if Q is P:
             replays.append(Q)
-        return real(Q, zrects, runs_out)
+        return real(Q, runs_out)
 
     monkeypatch.setattr(bstbounds.funnel, "move_to_root", counting)
     monkeypatch.setattr(bstbounds.zrect, "move_to_root", counting)
@@ -127,8 +127,8 @@ def test_kernel_off_by_one_fails_funnel_hflip(monkeypatch):
     # single access must break the reference == kernel sum check.
     real = bstbounds.funnel.move_to_root
 
-    def off_by_one(Q, zrects=None, runs_out=None):
-        total = real(Q, zrects, runs_out)
+    def off_by_one(Q, runs_out=None):
+        total = real(Q, runs_out)
         if runs_out:
             runs_out[-1] += 1
             total += 1
@@ -147,8 +147,8 @@ def test_kernel_pointwise_fault_fails_funnel_hflip(monkeypatch):
     real = bstbounds.funnel.move_to_root
     P = perm_pointset(30, 7)
 
-    def shifted(Q, zrects=None, runs_out=None):
-        total = real(Q, zrects, runs_out)
+    def shifted(Q, runs_out=None):
+        total = real(Q, runs_out)
         if runs_out and Q is P:
             runs_out[-1] += 1
             runs_out[0] -= 1
@@ -169,6 +169,18 @@ def test_wrong_repeat_plan_fails_funnel_hflip(monkeypatch):
     monkeypatch.setattr(bb.PointSet, "repeats", property(lambda self: [(6, 3, 3)]))
     report = run_checks(P, level="quick")
     assert _by_name(report)["funnel-hflip"].status == FAIL
+
+
+def test_no_zrect_tops_fails_added_classification(monkeypatch):
+    # Negative control: a type-c point is charged to an access that tops
+    # a z-rectangle, so a count that reports no tops leaves it untyped.
+    P = perm_pointset(40, 3)
+    up = bb.sweep_add_up(P)
+    assert any("c" in t.labels for t in bb.classify_added(P, up))
+    assert _by_name(run_checks(P, level="full"))["added-classification"].status == PASS
+    monkeypatch.setattr(bstbounds.zrect, "zrect_counts", lambda xs, runs: [0] * len(runs))
+    report = run_checks(P, level="full")
+    assert _by_name(report)["added-classification"].status == FAIL
 
 
 def test_unknown_level_rejected():

@@ -1,9 +1,12 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
-import bstbounds as bb
-from bstbounds.geometry import PointSet, from_trace, rotate90
-from bstbounds.zrect import ZRect, is_zrect, zrects, zrects_brute
+from bstbounds.funnel import funnel_bound_fast, move_to_root
+from bstbounds.geometry import PointSet, from_trace, hflip, rotate90
+from bstbounds.zrect import is_zrect, zrect_counts, zrects, zrects_brute
 
 from conftest import (
     SWEEP_SET,
@@ -13,10 +16,44 @@ from conftest import (
     ZR_MISORDERED,
     ZR_VALID,
     ZR_VALID_ROLES,
+    ZRect,
     point_sets,
     seeded_perms,
     zrects_forced_roles,
 )
+
+
+def _runs(P: PointSet) -> list[int]:
+    runs: list[int] = []
+    move_to_root(P, runs)
+    return runs
+
+
+def _per_access(P: PointSet) -> list[int]:
+    return zrect_counts(P.xs, _runs(P))
+
+
+def _oracle_per_access(P: PointSet) -> list[int]:
+    tops = Counter(w.top for w in zrects_forced_roles(P))
+    assert tops.keys() <= set(P)
+    return [tops[p] for p in P]
+
+
+def _images(P: PointSet) -> tuple[PointSet, ...]:
+    """P, its two rotations by 90 and 180 degrees, and its key mirror."""
+    once = rotate90(P)
+    return P, once, rotate90(once), hflip(P)
+
+
+def _sparse_sets(count: int, max_n: int, seed: int):
+    """Seeded point sets with distinct, sparse and partly negative
+    coordinates."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        xs = rng.sample(range(-10 * max_n, 10 * max_n), n)
+        ys = rng.sample(range(-10 * max_n, 10 * max_n), n)
+        yield PointSet(zip(xs, ys))
 
 
 def test_is_zrect_on_the_three_panels():
@@ -46,8 +83,9 @@ def test_counts_on_the_three_panels():
 
 
 def test_valid_panel_witness_roles():
-    (witness,) = zrects(ZR_VALID).witnesses
-    assert witness == ZRect(*ZR_VALID_ROLES)
+    assert zrects_forced_roles(ZR_VALID) == [ZRect(*ZR_VALID_ROLES)]
+    top = ZR_VALID_ROLES[0]
+    assert _per_access(ZR_VALID) == [int(p == top) for p in ZR_VALID]
 
 
 def test_small_sets_have_no_zrects():
@@ -60,7 +98,8 @@ def test_small_sets_have_no_zrects():
 def test_sweep_example_witness():
     result = zrects(SWEEP_SET)
     assert result.count >= 1
-    assert SWEEP_ZRECT in result.witnesses
+    assert SWEEP_ZRECT in zrects_forced_roles(SWEEP_SET)
+    assert _per_access(SWEEP_SET) == _oracle_per_access(SWEEP_SET)
     assert result.count == zrects_brute(SWEEP_SET)
 
 
@@ -89,37 +128,66 @@ def test_count_matches_brute_on_random_permutations():
 @given(point_sets(max_size=9, distinct_x=True))
 @settings(max_examples=60)
 def test_rotation_invariance_with_witness_bijection(P):
-    result = zrects(P)
     rotated = rotate90(P)
-    rot_result = zrects(rotated)
-    assert rot_result.count == result.count
+    assert zrects(rotated).count == zrects(P).count
 
     def rot(p):
         return (-p[1], p[0])
 
     mapped = {
         ZRect(rot(w.right), rot(w.top), rot(w.left), rot(w.bottom))
-        for w in result.witnesses
+        for w in zrects_forced_roles(P)
     }
-    assert mapped == set(rot_result.witnesses)
+    assert mapped == set(zrects_forced_roles(rotated))
 
 
 @given(point_sets(max_size=12, distinct_x=True))
 @settings(max_examples=60)
 def test_every_witness_satisfies_the_definition(P):
-    result = zrects(P)
-    for w in result.witnesses:
+    found = zrects_forced_roles(P)
+    for w in found:
         assert is_zrect(P, w.top, w.left, w.bottom, w.right)
-    assert len(set(result.witnesses)) == len(result.witnesses) == result.count
-    assert result.count == zrects_brute(P)
+    assert len(set(found)) == len(found) == zrects(P).count == zrects_brute(P)
+    for Q in _images(P):
+        assert _per_access(Q) == _oracle_per_access(Q)
 
 
-def test_witnesses_match_forced_role_oracle():
+def test_per_top_counts_match_forced_role_oracle():
     # Up to m=200 the funnel paths hold many R L+ R patterns.
-    for P in seeded_perms(30, 200, seed=606, min_n=100):
-        assert zrects(P).witnesses == zrects_forced_roles(P)
-    for P in seeded_perms(200, 40, seed=607):
-        assert zrects(P).witnesses == zrects_forced_roles(P)
+    sets = [
+        *seeded_perms(30, 200, seed=606, min_n=100),
+        *seeded_perms(200, 40, seed=607),
+        *_sparse_sets(200, 30, seed=608),
+    ]
+    for P in sets:
+        for Q in _images(P):
+            assert _per_access(Q) == _oracle_per_access(Q), Q
+
+
+def _assert_funnel_within_3m_of_twice_zrects(P: PointSet) -> None:
+    m = len(P)
+    runs = _runs(P)
+    for k, z in zip(runs, zrect_counts(P.xs, runs)):
+        assert 0 <= k - 2 * z <= 3
+    F, Z = sum(runs), zrects(P).count
+    assert 2 * Z <= F <= 2 * Z + 3 * m
+    # Z is rotation-invariant, so the funnel moves by at most 3m.
+    rotated = P
+    for _ in range(3):
+        rotated = rotate90(rotated)
+        assert zrects(rotated).count == Z
+        assert abs(funnel_bound_fast(rotated) - F) <= 3 * m
+
+
+@given(point_sets(max_size=16, distinct_x=True))
+@settings(max_examples=100)
+def test_funnel_rotation_within_3m(P):
+    _assert_funnel_within_3m_of_twice_zrects(P)
+
+
+def test_funnel_rotation_within_3m_on_seeded_permutations():
+    for P in seeded_perms(40, 300, seed=609):
+        _assert_funnel_within_3m_of_twice_zrects(P)
 
 
 def test_sandwich_inequalities_on_random_permutations():
