@@ -220,8 +220,9 @@ def alt_opt(P: PointSet) -> AltWitness:
     and leaves when i reaches L; while in, it holds its four corners in
     a 2-D difference table over (j, k).  For j ascending, the prefix
     sums over k of the table's row j, added to the crossings of i..j-1,
-    give those of i..j.  Cost O(P + n^3) time and O(n^2 + boxes) memory,
-    for n distinct keys and P funnel pairs (Σ funnel sizes).
+    give those of i..j.  One symmetric table holds best(i..j): row i reads
+    it at (i, k), row j at (j, k + 1).  Cost O(P + n^3) time and
+    O(n^2 + boxes) memory, for n distinct keys and P funnel pairs.
 
     The walk is kept apart from ``funnel.move_to_root``, which counts
     runs: both start their unzip on a head, but reporting each node from
@@ -275,8 +276,7 @@ def alt_opt(P: PointSet) -> AltWitness:
     # Row n of the table takes the corners at R = n and is never read.
     table = [[0] * n for _ in range(n + 1)]
     leaving: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
-    value = [[0] * n for _ in range(n)]
-    by_end = [[0] * n for _ in range(n)]  # by_end[j][i] = value[i][j]
+    value = [[0] * n for _ in range(n)]  # symmetric: value[j][i] = value[i][j]
     split = [[0] * n for _ in range(n)]
     for i in range(n - 1, -1, -1):
         events = leaving[i]
@@ -299,7 +299,7 @@ def alt_opt(P: PointSet) -> AltWitness:
         for j in range(i + 1, n):
             crossings.append(0)
             crossings = list(map(add, crossings, accumulate(table[j][i:j])))
-            value_j = by_end[j]
+            value_j = value[j]
             best = -1
             best_k = i
             for k in range(i, j):

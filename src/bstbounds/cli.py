@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import os
 import resource
 import stat
@@ -67,7 +66,7 @@ class BoundEntry(NamedTuple):
     value: int
     millis: float
     tree_source: Optional[str] = None
-    tree_text: Optional[str] = None
+    tree: Optional[alternation.Tree] = None
 
 
 def compute_bounds(
@@ -80,8 +79,9 @@ def compute_bounds(
 ) -> tuple[BoundEntry, ...]:
     """Evaluate the requested bounds, each timed on its own.  ``tree`` is
     ``alt``'s reference tree: ``"balanced"`` over P's keys, ``"opt"`` or a
-    parsed tree.  ``alt-opt`` is ``alt`` on ``"opt"``, and every ``"opt"``
-    reads one ``alt_opt`` witness, charged to the first bound that asks.
+    parsed tree, resolved once before any kernel runs.  Every ``"opt"``
+    reads one ``alt_opt`` witness, charged to the first bound that asks,
+    and each alt entry carries its tree unformatted.
     With ``sweeps`` given, each ``irb-up``/``irb-down`` sweep's output is
     stored in it under the bound's name, for writing out without a rerun.
     ``input_size``, the length of the text P was read from, is charged
@@ -90,28 +90,27 @@ def compute_bounds(
     the cap has already taken off."""
     if isinstance(tree, str) and tree not in ("balanced", "opt"):
         raise ValueError(f"tree must be 'balanced', 'opt' or a Tree, got {tree!r}")
-    # The reference tree each alt bound reads.  One that needs the optimal
-    # tree of too many keys, or a tree whose paths would take too much
-    # memory or too many steps, is refused before any kernel runs.
-    refs = {b: "opt" if b == "alt-opt" else tree for b in bounds if b in ("alt", "alt-opt")}
-    needs_opt = [b for b, ref in refs.items() if ref == "opt"]
+    source = tree if isinstance(tree, str) else "file"
+    # The bounds that read the optimal tree.  One that needs it on too
+    # many keys, or an alt tree whose paths would take too much memory or
+    # too many steps, is refused before any kernel runs.
+    needs_opt = [b for b in bounds if b == "alt-opt" or (b == "alt" and source == "opt")]
     if needs_opt and len(P.keys) > _MAX_ALT_OPT_KEYS:
         bound = "alt-opt" if needs_opt[0] == "alt-opt" else "alt --tree opt"
         raise ValueError(
             f"{bound}: {len(P.keys)} distinct keys exceed the cap of "
             f"{_MAX_ALT_OPT_KEYS} for the optimal reference tree"
         )
-    if refs:
+    if "alt" in bounds or "alt-opt" in bounds:
         from . import alternation
-
-        best = functools.cache(lambda: alternation.alt_opt(P))
-    # The tree alt walks, costed now; an empty P has no balanced tree,
-    # and alt raises in its turn below.
-    walked = refs.get("alt", "opt")
-    if walked != "opt" and len(P):
-        if walked == "balanced":
-            walked = alternation.balanced_tree(P.keys)
-        _check_alt_cost(P, alternation.leaf_depths(walked), input_size, input_mapped)
+    # The tree alt walks, costed now; an empty P has none, and alt's own
+    # call of ``balanced_tree`` raises in its turn below.
+    alt_tree = None if isinstance(tree, str) else tree
+    if "alt" in bounds and source != "opt" and len(P):
+        if alt_tree is None:
+            alt_tree = alternation.balanced_tree(P.keys)
+        _check_alt_cost(P, alternation.leaf_depths(alt_tree), input_size, input_mapped)
+    best = None  # the alt_opt witness, once a bound has asked for it
 
     # Each kernel module is imported before the first timer starts, so
     # no bound is charged for another's import.
@@ -125,16 +124,16 @@ def compute_bounds(
     entries = []
     for name in bounds:
         start = time.perf_counter()
-        tree_source = tree_text = None
-        if name in refs:
-            ref = refs[name]
-            if ref == "opt":
-                value, used = best()
-            else:
-                used = alternation.balanced_tree(P.keys) if walked == "balanced" else walked
-                value = alternation.alt_bound(P, used)
-            tree_source = ref if isinstance(ref, str) else "file"
-            tree_text = alternation.format_tree(used)
+        tree_source = used = None
+        if name in needs_opt:
+            if best is None:
+                best = alternation.alt_opt(P)
+            value, used = best
+            tree_source = "opt"
+        elif name == "alt":
+            used = alt_tree if alt_tree is not None else alternation.balanced_tree(P.keys)
+            value = alternation.alt_bound(P, used)
+            tree_source = source
         elif name == "funnel":
             value = funnel.funnel_bound_fast(P)
         elif name == "zrects":
@@ -149,7 +148,7 @@ def compute_bounds(
         else:
             raise ValueError(f"unknown bound {name!r}; valid: {', '.join(BOUND_NAMES)}")
         millis = (time.perf_counter() - start) * 1000.0
-        entries.append(BoundEntry(name, value, millis, tree_source, tree_text))
+        entries.append(BoundEntry(name, value, millis, tree_source, used))
     return tuple(entries)
 
 
@@ -425,16 +424,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # as "w" would
                 fh.truncate(0)
             fh.write(text)
+    if "alt" in bounds or "alt-opt" in bounds:
+        from . import alternation
     for e in entries:
         if args.tsv:
-            print(
-                f"{e.name}\t{e.value}\t{e.millis:.3f}\t"
-                f"{e.tree_source or '-'}\t{e.tree_text or '-'}"
-            )
+            text = "-" if e.tree is None else alternation.format_tree(e.tree)
+            print(f"{e.name}\t{e.value}\t{e.millis:.3f}\t{e.tree_source or '-'}\t{text}")
         else:
             print(f"{e.name}\t{e.value}")
-            if e.tree_source == "opt" and e.tree_text:
-                print(f"# {e.name} tree: {e.tree_text}")
+            if e.tree_source == "opt":
+                print(f"# {e.name} tree: {alternation.format_tree(e.tree)}")
     return 0
 
 

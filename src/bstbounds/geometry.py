@@ -94,8 +94,9 @@ class PointSet:
         kernels fold.  The ``period`` accesses before ``start`` have
         distinct keys and repeat the ``period`` accesses before them, and
         ``xs[start : start + count * period]`` is that block ``count``
-        more times.  Entries are in order and do not overlap."""
-        return _repeat_plan(self.xs)
+        more times.  Entries are in order and do not overlap.  Distinct
+        keys repeat no block, so they skip the pass over the accesses."""
+        return [] if self.has_distinct_x else _repeat_plan(self.xs)
 
     @cached_property
     def has_distinct_y(self) -> bool:

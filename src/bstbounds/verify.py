@@ -26,7 +26,7 @@ import random
 from typing import NamedTuple
 
 from . import alternation, funnel, sweep, zrect
-from .geometry import Point, PointSet, hflip, rotate90, time_reverse
+from .geometry import PointSet, hflip, rotate90, time_reverse
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -178,17 +178,17 @@ def _remark_holds(P: PointSet, up: sweep.SweepOutput) -> bool:
     # Each added point pairs the access below it in its column with the
     # access in its row; the former must lie in the left funnel of the
     # latter.  Keys are distinct here, so each column holds one access,
-    # and the reference funnel is built once per row.
+    # and the reference funnel of one row at a time is kept.
     access_by_x = {x: y for x, y in P}
     access_by_y = {y: (x, y) for x, y in P}
-    left_funnels: dict[int, set[Point]] = {}
+    row, left = None, set()
     for x, y in up.added:
         below_y = access_by_x.get(x)
         b = access_by_y.get(y)
         if below_y is None or below_y >= y or b is None:
             return False
-        if y not in left_funnels:
-            left_funnels[y] = set(funnel.funnel_of(P, b).left)
-        if (x, below_y) not in left_funnels[y]:
+        if y != row:
+            row, left = y, set(funnel.funnel_of(P, b).left)
+        if (x, below_y) not in left:
             return False
     return True

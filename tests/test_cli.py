@@ -19,7 +19,7 @@ import bstbounds.generators
 import bstbounds.sweep
 import bstbounds.verify
 from bstbounds import cli, geometry
-from bstbounds.cli import _detect_format, compute_bounds, load_pointset, main
+from bstbounds.cli import BOUND_NAMES, _detect_format, compute_bounds, load_pointset, main
 from bstbounds.geometry import (
     ParseError,
     PointSet,
@@ -123,6 +123,77 @@ def test_alt_opt_runs_once_for_opt_tree(capsys, trace_file, monkeypatch):
     report = compute_bounds(from_trace([2, 1, 3, 2]), ["alt-opt", "alt"], "opt")
     assert len(calls) == 2
     assert report[0].value == report[1].value
+
+
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("tsv", [False, True])
+@pytest.mark.parametrize(
+    "bounds, tree",
+    [
+        ("alt", "balanced"),
+        ("alt", "file"),
+        ("alt,alt", "balanced"),
+        ("alt,alt-opt,funnel", "balanced"),
+        ("alt-opt,alt", "opt"),
+        ("alt,alt-opt", "file"),
+        ("funnel", "opt"),
+    ],
+)
+def test_compute_resolves_and_formats_each_tree_once(
+    capsys, trace_file, tmp_path, monkeypatch, bounds, tree, tsv
+):
+    # The tree alt walks is built once and alt_opt runs once, however many
+    # bounds read them; a tree is formatted only for a line that prints
+    # it: every alt entry's --tsv column, and in plain output only the
+    # comment that shows an optimal tree.
+    names = bounds.split(",")
+    if tree == "file":
+        path = tmp_path / "ref.tree"
+        path.write_text(SIX_TREE_TEXT + "\n")
+        tree = f"@{path}"
+    formats = _counting(monkeypatch, bstbounds.alternation, "format_tree")
+    built = _counting(monkeypatch, bstbounds.alternation, "balanced_tree")
+    optimal = _counting(monkeypatch, bstbounds.alternation, "alt_opt")
+    argv = ["compute", trace_file, "--bounds", bounds, "--tree", tree]
+    code, out, _ = run(capsys, *argv, *(["--tsv"] if tsv else []))
+    assert code == 0
+    opt_entries = names.count("alt-opt") + (names.count("alt") if tree == "opt" else 0)
+    alt_entries = names.count("alt") + names.count("alt-opt")
+    assert len(formats) == (alt_entries if tsv else opt_entries)
+    assert len(built) == int(tree == "balanced" and "alt" in names)
+    assert len(optimal) == int(opt_entries > 0)
+    assert out.count(" tree: ") == (0 if tsv else opt_entries)
+
+
+def test_distinct_keys_build_no_repeat_plan(capsys, trace_file, tmp_path, monkeypatch):
+    # A plan needs a repeated key, so a distinct-key set reports none
+    # without the pass; ``test_fold`` checks the plans of repeated keys.
+    plans = _counting(monkeypatch, geometry, "_repeat_plan")
+    perm = tmp_path / "perm.txt"
+    perm.write_text("".join(f"{x}\n" for x in random.Random(5).sample(range(1, 61), 60)))
+    for argv in (
+        ["compute", str(perm), "--bounds", ",".join(BOUND_NAMES)],
+        ["verify", str(perm), "--level", "full"],
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+    assert plans == []
+    code, _, _ = run(capsys, "compute", trace_file, "--bounds", "funnel,alt")
+    assert code == 0
+    assert len(plans) == 1
 
 
 def _no_kernel(monkeypatch):

@@ -5,6 +5,8 @@ import pytest
 import bstbounds as bb
 import bstbounds.alternation
 import bstbounds.funnel
+import bstbounds.sweep
+import bstbounds.verify
 import bstbounds.zrect
 from bstbounds.alternation import alt_bound, alt_opt, balanced_tree, enumerate_trees, format_tree
 from bstbounds.geometry import from_trace
@@ -181,6 +183,43 @@ def test_no_zrect_tops_fails_added_classification(monkeypatch):
     monkeypatch.setattr(bstbounds.zrect, "zrect_counts", lambda xs, runs: [0] * len(runs))
     report = run_checks(P, level="full")
     assert _by_name(report)["added-classification"].status == FAIL
+
+
+def _remark_setup():
+    """A seeded permutation, its up-sweep, and a copy of the sweep with
+    one corner moved into a column right of its row's access whose
+    access lies below the corner, so only the funnel test can refuse it."""
+    P = perm_pointset(40, 7)
+    up = bb.sweep_add_up(P)
+    time_of = {x: y for x, y in P}
+    key_at = {y: x for x, y in P}
+    for i, (x, y) in enumerate(up.added):
+        right = [c for c in P.keys if c > key_at[y] and time_of[c] < y]
+        if right:
+            moved = up.added[:i] + ((right[0], y),) + up.added[i + 1 :]
+            return P, up, up._replace(added=moved)
+    raise AssertionError("no corner can be moved right of its row's access")
+
+
+def test_corner_right_of_its_access_fails_the_remark(monkeypatch):
+    # Negative control: a column right of the row's access holds no point
+    # of that access's left funnel.
+    P, up, bad = _remark_setup()
+    assert bstbounds.verify._remark_holds(P, up)
+    assert not bstbounds.verify._remark_holds(P, bad)
+    assert _by_name(run_checks(P, level="full"))["sweep-funnel-remark"].status == PASS
+    monkeypatch.setattr(bstbounds.sweep, "sweep_add_up", lambda P: bad)
+    report = run_checks(P, level="full")
+    assert _by_name(report)["sweep-funnel-remark"].status == FAIL
+
+
+def test_remark_holds_in_any_order():
+    # The remark keeps one row's funnel at a time, so the corners need
+    # not come grouped by row.
+    P, up, bad = _remark_setup()
+    for added in (up.added[::-1], sorted(up.added)):
+        assert bstbounds.verify._remark_holds(P, up._replace(added=added))
+    assert not bstbounds.verify._remark_holds(P, bad._replace(added=bad.added[::-1]))
 
 
 def test_unknown_level_rejected():
