@@ -336,8 +336,7 @@ def random_tree(keys: Sequence[int], rng: random.Random) -> Tree:
     keys = list(keys)
     if not keys:
         raise ValueError("random_tree: need at least one key")
-    # The left side takes randrange(1, size) keys, drawn in pre-order.
-    return _build_tree(keys, lambda i, j: i + rng.randrange(1, j - i + 1) - 1)
+    return _build_tree(keys, rng.randrange)
 
 
 def alt_brute(P: PointSet, max_keys: int = 10) -> AltWitness:

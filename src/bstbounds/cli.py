@@ -103,8 +103,8 @@ def compute_bounds(
         )
     if "alt" in bounds or "alt-opt" in bounds:
         from . import alternation
-    # The tree alt walks, costed now; an empty P has none, and alt's own
-    # call of ``balanced_tree`` raises in its turn below.
+    # The tree alt walks, costed now.  An empty P has no balanced or
+    # optimal tree, and alt and alt-opt are 0 on it.
     alt_tree = None if isinstance(tree, str) else tree
     if "alt" in bounds and source != "opt" and len(P):
         if alt_tree is None:
@@ -127,13 +127,12 @@ def compute_bounds(
         tree_source = used = None
         if name in needs_opt:
             if best is None:
-                best = alternation.alt_opt(P)
+                best = alternation.alt_opt(P) if len(P) else (0, None)
             value, used = best
             tree_source = "opt"
         elif name == "alt":
-            used = alt_tree if alt_tree is not None else alternation.balanced_tree(P.keys)
-            value = alternation.alt_bound(P, used)
-            tree_source = source
+            value = 0 if alt_tree is None else alternation.alt_bound(P, alt_tree)
+            used, tree_source = alt_tree, source
         elif name == "funnel":
             value = funnel.funnel_bound_fast(P)
         elif name == "zrects":
@@ -432,7 +431,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             print(f"{e.name}\t{e.value}\t{e.millis:.3f}\t{e.tree_source or '-'}\t{text}")
         else:
             print(f"{e.name}\t{e.value}")
-            if e.tree_source == "opt":
+            if e.tree_source == "opt" and e.tree is not None:
                 print(f"# {e.name} tree: {alternation.format_tree(e.tree)}")
     return 0
 

@@ -262,10 +262,14 @@ def rotate90(P: PointSet) -> PointSet:
 
 def hflip(P: PointSet) -> PointSet:
     """Mirror keys: (x, y) -> (-x, y).  Involutive.  With distinct y the
-    order is by y alone, which the mirror keeps."""
+    order is by y alone, which the mirror keeps.  Negated keys repeat
+    where P's do, so P's repeat plan, if it is cached, is carried over."""
     if not P.has_distinct_y:
         return PointSet((-x, y) for x, y in P)
-    return _columns([-x for x in P.xs], P.ys)
+    Q = _columns([-x for x in P.xs], P.ys)
+    if "repeats" in P.__dict__:
+        Q.__dict__["repeats"] = P.__dict__["repeats"]
+    return Q
 
 
 _CHUNK = 1 << 16  # characters split into lines at a time

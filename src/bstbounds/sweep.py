@@ -14,15 +14,15 @@ corners as plain ``(x, y)`` points, grouped by access in time order and,
 within an access, in descending y of the partner.  Times are distinct,
 so the access that created a corner is the one in its row.
 
-The kernel works on column ranks and keeps one number per column: the
-time of the highest point in it (0 while it is empty).  Only that point
-can be a partner, since it blocks every lower point of its column.  The
-partners of an access in column r are therefore the chain of columns
-met walking left from r whose top is strictly higher than every top
-passed so far.  After the step the access's column and every partner
-column hold a point at the current time, the largest time yet.  The
-kernel returns each corner's partner column and, per access, where its
-corners end; the counting sweeps take the length and build no points.
+The kernel works on column ranks.  A column's top is the time of the
+highest point in it (0 while it is empty).  Only that point can be a
+partner, since it blocks every lower point of its column.  The partners
+of an access in column r are therefore the chain of columns met walking
+left from r whose top is strictly higher than every top passed so far.
+After the step the access's column and every partner column hold a
+point at the current time, the largest time yet.  The kernel returns
+each corner's partner column and, per access, where its corners end;
+the counting sweeps take the length and build no points.
 
 The sweep runs in two phases.  The first keeps the non-empty columns
 in a Cartesian tree: in column order, and a max-heap on (top, column),
@@ -43,11 +43,12 @@ meets: c1's ancestors right of r and the left spine of c1's right
 subtree.  Random permutations take about 4-6 steps per access and
 corner, but some inputs (strided ones) take many more, so the first
 phase counts its steps and stops once they pass ``_STEP_BUDGET`` per
-access and corner handled so far.  The second phase then builds a max
-segment tree of the tops in O(m) and finishes the sweep: each partner
-is one descent ("rightmost column left of c whose top exceeds v") and
-each write stops climbing at the first node that already holds the
-current time.  The budget is checked after every access and one search
+access and corner handled so far.  The second phase then reads the
+tops off the accesses and their corners so far, builds a max segment
+tree of them in O(m + added) and finishes the sweep: each partner is
+one descent ("rightmost column left of c whose top exceeds v") and each
+write stops climbing at the first node that already holds the current
+time.  The budget is checked after every access and one search
 meets at most m columns, so the first phase takes at most
 ``_STEP_BUDGET * (m + added) + m`` steps, and a sweep still costs
 O((m + added) * log m) for m accesses at worst.
@@ -55,8 +56,8 @@ O((m + added) * log m) for m accesses at worst.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import pairwise
+from math import inf
 from typing import NamedTuple, Optional
 
 from .geometry import Point, PointSet, require_distinct_xy
@@ -73,11 +74,12 @@ class SweepOutput(NamedTuple):
 
 
 # Steps the tree phase of ``_sweep_up`` may take per access and corner
-# handled so far; past that it hands its tops to the segment tree.  A
-# step is one node a search visits.  Random permutations take 4.0, 4.8,
-# 5.5 and 5.9 steps per access and corner at m = 2.5k, 10k, 40k and 100k;
-# the stride-90 family (``j * 90 + i``, m = 8100) takes 44.2 if left to
-# run, and hands over after 115 accesses.
+# handled so far; past that the segment tree reads its tops off the
+# corners and finishes the sweep.  A step is one node a search visits.
+# Random permutations take 4.0, 4.8, 5.5 and 5.9 steps per access and
+# corner at m = 2.5k, 10k, 40k and 100k; the stride-90 family
+# (``j * 90 + i``, m = 8100) takes 44.2 if left to run, and hands over
+# after 115 accesses.
 _STEP_BUDGET = 8
 
 
@@ -97,7 +99,6 @@ def _sweep_up(
     # Slot m of ``left`` heads the chain of columns right of r.
     left: list[Optional[int]] = [None] * (m + 1)
     right: list[Optional[int]] = [None] * m
-    top = [0] * m
     ends = [0] * (m + 1)
     root: Optional[int] = None
     added: list[int] = []
@@ -105,14 +106,12 @@ def _sweep_up(
     budget = _STEP_BUDGET
     for t, r in enumerate(cols):
         now = t + 1
-        top[r] = now
         # Search for r; spine is the last partner met, chain the last
         # column right of r (m before the first).
         node, spine, chain = root, None, m
         while node is not None:
             if node < r:
                 added.append(node)
-                top[node] = now
                 if spine is not None:
                     right[spine] = left[node]
                     left[node] = spine
@@ -137,15 +136,15 @@ def _sweep_up(
     if phase_out is not None:
         phase_out += (climbed + len(added), now)
     if now < m:
-        _segment_sweep(cols, top, now, added, ends)
+        _segment_sweep(cols, now, added, ends)
     return added, ends
 
 
 def _segment_sweep(
-    cols: list[int], top: list[int], start: int, added: list[int], ends: list[int]
+    cols: list[int], start: int, added: list[int], ends: list[int]
 ) -> None:
-    """The up-sweep from time index ``start`` on, with ``top`` each
-    column's top before it, appending to ``added`` and ``ends``.
+    """The up-sweep from time index ``start`` on, appending to ``added``
+    and ``ends``, which hold the accesses before it.
 
     The tops sit in a max segment tree: each partner is one descent
     ("rightmost column left of c whose top exceeds v") and each write
@@ -153,7 +152,10 @@ def _segment_sweep(
     time.
     """
     size = 1 << max(len(cols) - 1, 0).bit_length()
-    tree = [0] * size + top + [0] * (size - len(top))  # leaves at size + col
+    tree = [0] * (2 * size)  # leaves at size + col
+    for t, r in enumerate(cols[:start]):  # a top: the last access or partner
+        for c in (r, *added[ends[t] : ends[t + 1]]):
+            tree[size + c] = t + 1
     h = size
     while h > 1:  # a level at a time: nodes h..2h-1 from children 2h..4h-1
         h //= 2
@@ -248,50 +250,44 @@ class ClassificationError(RuntimeError):
 
 
 def classify_added(P: PointSet, out: SweepOutput) -> list[AddedPointType]:
-    """Type every added point of an up-sweep.
+    """Type every added point of an up-sweep.  Its corners must be in
+    sweep order, ascending (y, x), as the sweep emits them; any other
+    order raises ``ClassificationError``.
 
-    A point is type (a) if it is the rightmost added point in its row
-    and type (b) if it is the highest added point in its column.  A
-    point that is neither must be type (c): the lowest added point
-    above it in its column shares its y with an access that tops some
-    z-rectangle; that access is recorded as the witness.
+    One walk back over the corners meets each row from the right and
+    each column from the top.  A point is type (a) if it is the first
+    met in its row, the rightmost, and type (b) if it is the first met
+    in its column, the highest.  A point that is neither must be type
+    (c): the corner last met in its column, the lowest added point
+    above it, shares its y with an access that tops some z-rectangle;
+    that access is recorded as the witness.  The tops come from one
+    move-to-root replay of P.
     """
     if out.direction != "up":
         raise ValueError("classify_added: requires an up-sweep output")
     if out.accesses != P:
         raise ValueError("classify_added: sweep output does not belong to P")
-    max_x_at_y: dict[int, int] = {}
-    ys_at_x: dict[int, list[int]] = {}
-    for x, y in out.added:
-        max_x_at_y[y] = max(max_x_at_y.get(y, x), x)
-        ys_at_x.setdefault(x, []).append(y)
-    for ys in ys_at_x.values():
-        ys.sort()
-    access_by_y = {y: (x, y) for x, y in P}
-    tops: set[Point] | None = None  # computed lazily, only when needed
+    from .funnel import move_to_root
+    from .zrect import zrect_counts
 
+    runs: list[int] = []
+    move_to_root(P, runs)
+    tops = {y: (x, y) for x, y, z in zip(P.xs, P.ys, zrect_counts(P.xs, runs)) if z}
+    above: dict[int, int] = {}  # per column, the y of the corner last met
+    last = (inf, inf)  # (y, x) of the corner last met
     result: list[AddedPointType] = []
-    for x, y in out.added:
-        column = ys_at_x[x]
-        is_a = max_x_at_y[y] == x
-        is_b = column[-1] == y
-        witness: Point | None = None
-        if not is_a and not is_b:
-            # the lowest added point above; it exists, as y is not highest
-            d = access_by_y.get(column[bisect_right(column, y)])
-            if tops is None:
-                from .funnel import move_to_root
-                from .zrect import zrect_counts
-
-                runs: list[int] = []
-                move_to_root(P, runs)
-                tops = {p for p, z in zip(P, zrect_counts(P.xs, runs)) if z}
-            if d is None or d not in tops:
-                raise ClassificationError(
-                    f"added point ({x}, {y}) fits no charging type"
-                )
-            witness = d
+    for x, y in reversed(out.added):
+        if (y, x) >= last:
+            raise ClassificationError("added points are not in sweep order")
+        is_a = y < last[0]
+        is_b = x not in above
+        witness = None if is_a or is_b else tops.get(above[x])
+        if not (is_a or is_b) and witness is None:
+            raise ClassificationError(f"added point ({x}, {y}) fits no charging type")
         result.append(AddedPointType((x, y), is_a, is_b, witness))
+        above[x] = y
+        last = (y, x)
+    result.reverse()
     return result
 
 

@@ -14,10 +14,10 @@ from the move-to-root kernel, whose sum must equal it.  The kernel
 replays the input once, for its per-access run counts; with distinct
 keys, the z-rectangle count is a formula over those runs and each
 access's previous key (``zrect.zrect_counts``).  Both replays, of the
-input and of its key mirror, fold their repeated blocks, each by its
-own repeat plan, and a mirror's plan equals the input's; the
-definition scan folds nothing, so ``funnel-hflip`` checks the fold on
-every run.
+input and of its key mirror, fold their repeated blocks by the input's
+repeat plan, which the mirror carries; the definition scan folds
+nothing, so ``funnel-hflip`` checks the fold on every run.  At ``full``,
+``sweep.classify_added`` replays the input once more for the z-rectangle tops.
 """
 
 from __future__ import annotations

@@ -597,3 +597,19 @@ def bit_reversal_bitwise(k: int) -> list[int]:
                 rev |= 1 << (k - 1 - bit)
         out.append(rev)
     return out
+
+
+def out_of_sweep_order(added: tuple[Point, ...]) -> list[tuple[Point, ...]]:
+    """Three reorderings of a sweep's corners that break sweep order,
+    ascending (y, x): the list reversed, its first two rows swapped, and
+    the first two corners of one row swapped."""
+    rows: dict[int, list[Point]] = {}
+    for p in added:
+        rows.setdefault(p[1], []).append(p)
+    first, second, *rest = rows.values()
+    i = next(i for i, (p, q) in enumerate(zip(added, added[1:])) if p[1] == q[1])
+    return [
+        added[::-1],
+        tuple(second + first + [p for row in rest for p in row]),
+        added[:i] + (added[i + 1], added[i]) + added[i + 2 :],
+    ]

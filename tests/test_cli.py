@@ -86,11 +86,26 @@ def test_compute_alt_with_tree_file(capsys, trace_file, tmp_path):
 
 
 def test_compute_funnel_of_empty_trace(capsys, tmp_path):
+    # Every bound is 0 on an empty input, alt and alt-opt over no tree;
+    # a tree file's leaves still have to be the input's keys.
     empty = tmp_path / "empty.txt"
     empty.write_text("")
-    code, out, _ = run(capsys, "compute", str(empty), "--bounds", "funnel")
-    assert code == 0
-    assert out == "funnel\t0\n"
+    for name in BOUND_NAMES:
+        for tree in ("balanced", "opt"):
+            argv = ["compute", str(empty), "--bounds", name, "--tree", tree]
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (0, f"{name}\t0\n", "")
+            code, out, err = run(capsys, *argv, "--tsv")
+            assert (code, err) == (0, "")
+            fields = out.rstrip("\n").split("\t")
+            del fields[2]  # the time
+            source = "opt" if name == "alt-opt" else tree if name == "alt" else "-"
+            assert fields == [name, "0", source, "-"]
+    path = tmp_path / "ref.tree"
+    path.write_text(SIX_TREE_TEXT + "\n")
+    code, out, err = run(capsys, "compute", str(empty), "--bounds", "alt", "--tree", f"@{path}")
+    assert (code, out) == (1, "")
+    assert "do not match the distinct keys []" in err
 
 
 def test_compute_alt_opt_prints_witness(capsys, trace_file):
@@ -194,6 +209,26 @@ def test_distinct_keys_build_no_repeat_plan(capsys, trace_file, tmp_path, monkey
     code, _, _ = run(capsys, "compute", trace_file, "--bounds", "funnel,alt")
     assert code == 0
     assert len(plans) == 1
+
+
+def test_hflip_carries_a_cached_repeat_plan(capsys, tmp_path, monkeypatch):
+    # Negated keys repeat where P's do, so the mirror takes P's plan once
+    # it is cached, and ``transform hflip`` builds none.
+    plans = _counting(monkeypatch, geometry, "_repeat_plan")
+    path = tmp_path / "repeats.txt"
+    path.write_text("".join(f"{x}\n" for x in [1, 2, 3] * 4 + [2, 1, 3]))
+    code, out, _ = run(capsys, "transform", "hflip", str(path))
+    assert code == 0
+    assert plans == []
+    P = load_pointset(str(path))
+    Q = geometry.hflip(P)
+    assert "repeats" not in Q.__dict__
+    assert P.repeats == geometry.hflip(P).repeats == Q.repeats == [(6, 3, 2)]
+    assert len(plans) == 2  # P's, and Q's, made before P's was cached
+    plans.clear()
+    code, out, _ = run(capsys, "verify", str(path), "--level", "quick")
+    assert code == 0
+    assert len(plans) == 2  # the input's and its time reversal's
 
 
 def _no_kernel(monkeypatch):
@@ -929,6 +964,22 @@ def test_classification_error_exits_1(capsys, sweep_file, tmp_path, monkeypatch)
     assert code == 1
     assert out == ""
     assert err == "bstbounds: added point (2, 3) fits no charging type\n"
+
+
+def test_corners_out_of_sweep_order_exit_1(capsys, sweep_file, tmp_path, monkeypatch):
+    # The order guard of ``classify_added`` refuses a reversed corner list
+    # rather than label it, and the destination is left as it was.
+    up = bstbounds.sweep.sweep_add_up(SWEEP_SET)
+    moved = up._replace(added=up.added[::-1])
+    monkeypatch.setattr(bstbounds.sweep, "sweep_add_up", lambda P: moved)
+    dest = tmp_path / "out.sweep"
+    dest.write_text("old\n")
+    code, out, err = run(
+        capsys, "compute", sweep_file, "--bounds", "irb-up", "--sweep-to", str(dest)
+    )
+    assert (code, out) == (1, "")
+    assert err == "bstbounds: added points are not in sweep order\n"
+    assert dest.read_text() == "old\n"
 
 
 def test_unwritable_sweep_destination_fails_before_the_sweep(

@@ -26,6 +26,7 @@ from conftest import (
     SWEEP_SET,
     SWEEP_UP_ADDED,
     classify_added_scan,
+    out_of_sweep_order,
     point_sets,
     seeded_perms,
     sweep_down_rescan,
@@ -194,14 +195,33 @@ def test_sweeps_match_rescan_oracle_on_random_sets(P):
         assert_sweeps_match_rescan(Q)
 
 
+def assert_classification_matches_scan(P):
+    """``classify_added`` against the per-point scan; the number of
+    type-c points."""
+    out = sweep_add_up(P)
+    types = [(t.point, t.labels, t.zrect_top) for t in classify_added(P, out)]
+    assert types == classify_added_scan(P, out)
+    return sum(top is not None for _, _, top in types)
+
+
 def test_classification_matches_per_point_scan():
-    charged = 0
-    for P in seeded_perms(40, 200, seed=616):
-        out = sweep_add_up(P)
-        types = [(t.point, t.labels, t.zrect_top) for t in classify_added(P, out)]
-        assert types == classify_added_scan(P, out)
-        charged += sum(top is not None for _, _, top in types)
+    charged = sum(map(assert_classification_matches_scan, seeded_perms(40, 200, seed=616)))
     assert charged > 1000
+    # The sets of the sweeps' sparse and transformed oracle test.
+    charged = 0
+    for P in sparse_sets(60, 120, seed=515):
+        for Q in (P, rotate90(P), rotate90(rotate90(P)), hflip(P), hflip(rotate90(P))):
+            charged += assert_classification_matches_scan(Q)
+    assert charged > 1000
+
+
+def test_classification_refuses_corners_out_of_sweep_order():
+    # Negative control for the order guard: each reordering would give
+    # other labels, so it is refused rather than typed.
+    out = sweep_add_up(SWEEP_SET)
+    for added in out_of_sweep_order(out.added):
+        with pytest.raises(ClassificationError, match="not in sweep order"):
+            classify_added(SWEEP_SET, out._replace(added=added))
 
 
 # The sweep kernel has two phases: a Cartesian-tree walk while its steps

@@ -12,7 +12,7 @@ from bstbounds.alternation import alt_bound, alt_opt, balanced_tree, enumerate_t
 from bstbounds.geometry import from_trace
 from bstbounds.verify import FAIL, INFO, PASS, SKIP, run_checks
 
-from conftest import WORKED_EXAMPLES, TRIO, perm_pointset
+from conftest import WORKED_EXAMPLES, TRIO, out_of_sweep_order, perm_pointset
 
 
 def _by_name(report):
@@ -183,6 +183,18 @@ def test_no_zrect_tops_fails_added_classification(monkeypatch):
     monkeypatch.setattr(bstbounds.zrect, "zrect_counts", lambda xs, runs: [0] * len(runs))
     report = run_checks(P, level="full")
     assert _by_name(report)["added-classification"].status == FAIL
+
+
+def test_corners_out_of_sweep_order_fail_added_classification(monkeypatch):
+    # Negative control for the order guard: the check reports the
+    # refusal as a failure instead of raising it.
+    P = perm_pointset(40, 3)
+    up = bb.sweep_add_up(P)
+    for added in out_of_sweep_order(up.added):
+        moved = up._replace(added=added)
+        monkeypatch.setattr(bstbounds.sweep, "sweep_add_up", lambda Q: moved)
+        result = _by_name(run_checks(P, level="full"))["added-classification"]
+        assert (result.status, result.detail) == (FAIL, "added points are not in sweep order")
 
 
 def _remark_setup():
