@@ -518,10 +518,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"bstbounds: parse error: {exc}", file=sys.stderr)
         return 2
-    except UsageError as exc:
-        print(f"bstbounds: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         print(f"bstbounds: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -22,9 +22,10 @@ separation sequence (129 blocks of 8 keys, 256 times each) that is
 2,064 of 264,192 accesses.
 
 ``funnel_of`` is the one definition scan, a backward walk from one
-point; ``f_value`` and ``funnel_bound``, their sum, are the oracle and
-``verify``'s one independent funnel value.  Every other funnel value,
-per point or summed, comes from the kernel.  Only ``f_value`` needs
+point; the value of its view, ``f_value``, and ``funnel_bound``, their
+sum, are the oracle, and ``verify`` sums the views itself for its one
+independent funnel value.  Every other funnel value, per point or
+summed, comes from the kernel.  Only ``FunnelView.value`` needs
 ``mixing``, and imports it itself, so the kernel loads no oracle code.
 """
 
@@ -41,6 +42,13 @@ class FunnelView(NamedTuple):
 
     left: list[Point]
     right: list[Point]
+
+    @property
+    def value(self) -> int:
+        """Side-alternation count of the funnel in time order."""
+        from .mixing import mix_value  # an oracle's import, off the kernels' load path
+
+        return mix_value([y for _, y in self.left], [y for _, y in self.right])
 
 
 def funnel_of(P: PointSet, p: Point) -> FunnelView:
@@ -85,10 +93,7 @@ def funnel_of(P: PointSet, p: Point) -> FunnelView:
 
 def f_value(P: PointSet, p: Point) -> int:
     """Side-alternation count of p's funnel in time order."""
-    from .mixing import mix_value  # an oracle's import, off the kernels' load path
-
-    view = funnel_of(P, p)
-    return mix_value([y for _, y in view.left], [y for _, y in view.right])
+    return funnel_of(P, p).value
 
 
 def funnel_bound(P: PointSet) -> int:

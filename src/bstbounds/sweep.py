@@ -184,25 +184,26 @@ def _segment_sweep(
 
 
 def _sweep_columns(
-    P: PointSet, mirrored: bool
+    P: PointSet, mirrored: bool, op: str
 ) -> tuple[tuple[int, ...], list[int], list[int]]:
     """P's keys in column order and the kernel's partner columns and
-    ``ends``; descending keys give the mirrored ranks m-1-r."""
-    require_distinct_xy(P, "sweep_add_down" if mirrored else "sweep_add_up")
+    ``ends``; descending keys give the mirrored ranks m-1-r.  ``op``, the
+    public function called, names it in a refusal."""
+    require_distinct_xy(P, op)
     keys = P.keys[::-1] if mirrored else P.keys
     rank = {x: i for i, x in enumerate(keys)}
     return keys, *_sweep_up([rank[x] for x in P.xs])
 
 
-def _sweep(P: PointSet, mirrored: bool) -> tuple[Point, ...]:
-    keys, added, ends = _sweep_columns(P, mirrored)
+def _sweep(P: PointSet, mirrored: bool, op: str) -> tuple[Point, ...]:
+    keys, added, ends = _sweep_columns(P, mirrored, op)
     return tuple(
         (keys[c], y) for y, (a, b) in zip(P.ys, pairwise(ends)) for c in added[a:b]
     )
 
 
 def sweep_add_up(P: PointSet) -> SweepOutput:
-    return SweepOutput(P, _sweep(P, mirrored=False), "up")
+    return SweepOutput(P, _sweep(P, mirrored=False, op="sweep_add_up"), "up")
 
 
 def sweep_add_down(P: PointSet) -> SweepOutput:
@@ -211,17 +212,17 @@ def sweep_add_down(P: PointSet) -> SweepOutput:
     Runs the up-sweep kernel on mirrored column ranks and maps the
     columns back to keys.
     """
-    return SweepOutput(P, _sweep(P, mirrored=True), "down")
+    return SweepOutput(P, _sweep(P, mirrored=True, op="sweep_add_down"), "down")
 
 
 def irb_up(P: PointSet) -> int:
     """The up-sweep's count of added points, without building them."""
-    return len(_sweep_columns(P, mirrored=False)[1])
+    return len(_sweep_columns(P, mirrored=False, op="irb_up")[1])
 
 
 def irb_down(P: PointSet) -> int:
     """The down-sweep's count of added points, without building them."""
-    return len(_sweep_columns(P, mirrored=True)[1])
+    return len(_sweep_columns(P, mirrored=True, op="irb_down")[1])
 
 
 class AddedPointType(NamedTuple):

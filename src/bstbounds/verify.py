@@ -8,16 +8,19 @@ invariances, the sweep-count charge, and totality of the added-point
 classification.  Checks that need distinct keys are skipped (with a
 notice) when the input has repeated x-coordinates.
 
-The funnel's definition scan runs once, on the input itself, as the
-independent value; every other funnel value, per access or summed, comes
-from the move-to-root kernel, whose sum must equal it.  The kernel
-replays the input once, for its per-access run counts; with distinct
-keys, the z-rectangle count is a formula over those runs and each
-access's previous key (``zrect.zrect_counts``).  Both replays, of the
-input and of its key mirror, fold their repeated blocks by the input's
-repeat plan, which the mirror carries; the definition scan folds
-nothing, so ``funnel-hflip`` checks the fold on every run.  At ``full``,
-``sweep.classify_added`` replays the input once more for the z-rectangle tops.
+The funnel's definition scan ``funnel_of`` runs once per access of the
+input, in time order.  Its views' values sum to the independent funnel
+value, and at ``full`` the same view checks the up-sweep corners in that
+access's row (the sweep-funnel remark).  Every other funnel value, per
+access or summed, comes from the move-to-root kernel, whose sum must
+equal the independent one.  The kernel replays the input once, for its
+per-access run counts; with distinct keys, the z-rectangle count is a
+formula over those runs and each access's previous key
+(``zrect.zrect_counts``).  Both replays, of the input and of its key
+mirror, fold their repeated blocks by the input's repeat plan, which the
+mirror carries; the definition scan folds nothing, so ``funnel-hflip``
+checks the fold on every run.  At ``full``, ``sweep.classify_added``
+replays the input once more for the z-rectangle tops.
 """
 
 from __future__ import annotations
@@ -79,7 +82,23 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
         report.add("distinct-y", False, "input has repeated y-coordinates")
         return report
 
-    fb = funnel.funnel_bound(P)
+    # One definition scan per access, in time order, gives the
+    # independent funnel value and, at `full` on distinct keys, the
+    # remark's test of the up-sweep corners in that access's row.
+    up = sweep.sweep_add_up(P) if level == "full" and P.has_distinct_x else None
+    rows: dict[int, list[int]] = {}
+    if up is not None:
+        for x, y in up.added:
+            rows.setdefault(y, []).append(x)
+    fb = 0
+    remark = True
+    for p in P:
+        view = funnel.funnel_of(P, p)
+        fb += view.value
+        row = rows.pop(p[1], None)
+        if row is not None and not _remark_holds(view, row):
+            remark = False
+    remark = remark and not rows
     fb_rev = funnel.funnel_bound_fast(time_reverse(P))
     # One replay of P gives every access's run count and, with distinct
     # keys, its z-rectangles.
@@ -151,8 +170,7 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
             break
     report.add("zrects-rotation", ok_rot, f"count changed under rotation (was {zr})")
 
-    if level == "full":
-        up = sweep.sweep_add_up(P)
+    if up is not None:
         n_up = len(up.added)
         report.add(
             "irb-charge",
@@ -166,7 +184,7 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
             report.add("added-classification", False, str(exc))
         report.add(
             "sweep-funnel-remark",
-            _remark_holds(P, up),
+            remark,
             "an added point's column/row access pair is not funnel-visible",
         )
         report.info("irb-up-down-gap", str(n_up - sweep.irb_down(P)))
@@ -174,21 +192,9 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     return report
 
 
-def _remark_holds(P: PointSet, up: sweep.SweepOutput) -> bool:
+def _remark_holds(view: funnel.FunnelView, row: list[int]) -> bool:
     # Each added point pairs the access below it in its column with the
-    # access in its row; the former must lie in the left funnel of the
-    # latter.  Keys are distinct here, so each column holds one access,
-    # and the reference funnel of one row at a time is kept.
-    access_by_x = {x: y for x, y in P}
-    access_by_y = {y: (x, y) for x, y in P}
-    row, left = None, set()
-    for x, y in up.added:
-        below_y = access_by_x.get(x)
-        b = access_by_y.get(y)
-        if below_y is None or below_y >= y or b is None:
-            return False
-        if y != row:
-            row, left = y, set(funnel.funnel_of(P, b).left)
-        if (x, below_y) not in left:
-            return False
-    return True
+    # access in its row; the former must lie in the latter's left funnel,
+    # `view`.  Keys are distinct here, so a column's one access is in the
+    # left funnel exactly when its key is.
+    return set(row) <= {x for x, _ in view.left}

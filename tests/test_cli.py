@@ -536,6 +536,14 @@ def test_compute_refuses_zrects_on_repeated_keys(capsys, trace_file):
     assert "distinct x" in err
 
 
+@pytest.mark.parametrize("bound", ["irb-up", "irb-down"])
+def test_compute_refuses_a_counting_sweep_under_its_own_name(capsys, trace_file, bound):
+    code, out, err = run(capsys, "compute", trace_file, "--bounds", bound)
+    name = bound.replace("-", "_")
+    assert (code, out) == (1, "")
+    assert err == f"bstbounds: {name}: point set must have distinct x-coordinates\n"
+
+
 def test_compute_rejects_unknown_bound(capsys, trio_file):
     code, _, err = run(capsys, "compute", trio_file, "--bounds", "magic")
     assert code == 2
@@ -880,7 +888,7 @@ def test_verify_passes_on_example(capsys, trio_file):
 
 
 def test_verify_reports_failure(capsys, trio_file, monkeypatch):
-    monkeypatch.setattr(bstbounds.funnel, "funnel_bound", lambda P: 0)
+    monkeypatch.setattr(bstbounds.funnel.FunnelView, "value", property(lambda view: 0))
     code, out, err = run(capsys, "verify", trio_file)
     assert code == 1
     assert "two-sided-domination\tFAIL" in out

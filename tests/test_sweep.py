@@ -63,10 +63,11 @@ def test_monotone_trace():
 
 
 def test_sweep_refuses_repeated_keys():
-    with pytest.raises(ValueError, match="distinct x"):
-        sweep_add_up(from_trace([1, 2, 1]))
-    with pytest.raises(ValueError, match="distinct x"):
-        sweep_add_down(from_trace([1, 2, 1]))
+    # Each public sweep names itself, not the helper it shares.
+    for sweep_fn in (sweep_add_up, sweep_add_down, irb_up, irb_down):
+        message = f"^{sweep_fn.__name__}: point set must have distinct x-coordinates$"
+        with pytest.raises(ValueError, match=message):
+            sweep_fn(from_trace([1, 2, 1]))
 
 
 def test_added_points_share_coordinates_with_accesses():

@@ -75,34 +75,32 @@ def test_gap_is_reported_not_asserted():
 def test_corrupted_funnel_is_caught(monkeypatch):
     # Negative control: a funnel that always answers 0 must break the
     # two-sided domination check.
-    monkeypatch.setattr(bstbounds.funnel, "funnel_bound", lambda P: 0)
+    monkeypatch.setattr(bstbounds.funnel.FunnelView, "value", property(lambda view: 0))
     report = run_checks(TRIO, level="full")
     assert _by_name(report)["two-sided-domination"].status == FAIL
     assert not report.ok
 
 
-def test_funnel_bound_runs_once_per_set(monkeypatch):
-    # One reference funnel, for P itself; the reverse and flipped funnels
-    # and every per-access value come from the move-to-root kernel.
-    calls = []
-    point_calls = []
-    real = bstbounds.funnel.funnel_bound
-    real_point = bstbounds.funnel.f_value
+@pytest.mark.parametrize("level", ["quick", "full"])
+@pytest.mark.parametrize(
+    "P", [perm_pointset(40, 3), from_trace([1, 2, 1, 3, 2, 1])], ids=["perm", "repeated-keys"]
+)
+def test_definition_scan_runs_once_per_access(monkeypatch, level, P):
+    # One definition scan per access, in time order, serves both the
+    # reference funnel and the remark; the reverse and flipped funnels
+    # and every per-access run count come from the move-to-root kernel.
+    scanned = []
+    real = bstbounds.funnel.funnel_of
 
-    def counting(P):
-        calls.append(P)
-        return real(P)
+    def counting(Q, p):
+        scanned.append(p)
+        return real(Q, p)
 
-    def counting_point(P, p):
-        point_calls.append(p)
-        return real_point(P, p)
-
-    monkeypatch.setattr(bstbounds.funnel, "funnel_bound", counting)
-    monkeypatch.setattr(bstbounds.funnel, "f_value", counting_point)
-    assert run_checks(TRIO, level="full").ok
-    assert calls == [TRIO]
-    # Only the reference scan asks for point values, one per point.
-    assert sorted(point_calls) == sorted(TRIO)
+    monkeypatch.setattr(bstbounds.funnel, "funnel_of", counting)
+    monkeypatch.setattr(bstbounds.funnel, "f_value", _never)
+    monkeypatch.setattr(bstbounds.funnel, "funnel_bound", _never)
+    assert run_checks(P, level=level).ok
+    assert scanned == list(P)
 
 
 def test_input_is_replayed_once(monkeypatch):
@@ -217,21 +215,54 @@ def test_corner_right_of_its_access_fails_the_remark(monkeypatch):
     # Negative control: a column right of the row's access holds no point
     # of that access's left funnel.
     P, up, bad = _remark_setup()
-    assert bstbounds.verify._remark_holds(P, up)
-    assert not bstbounds.verify._remark_holds(P, bad)
     assert _by_name(run_checks(P, level="full"))["sweep-funnel-remark"].status == PASS
     monkeypatch.setattr(bstbounds.sweep, "sweep_add_up", lambda P: bad)
     report = run_checks(P, level="full")
     assert _by_name(report)["sweep-funnel-remark"].status == FAIL
 
 
-def test_remark_holds_in_any_order():
-    # The remark keeps one row's funnel at a time, so the corners need
-    # not come grouped by row.
-    P, up, bad = _remark_setup()
-    for added in (up.added[::-1], sorted(up.added)):
-        assert bstbounds.verify._remark_holds(P, up._replace(added=added))
-    assert not bstbounds.verify._remark_holds(P, bad._replace(added=bad.added[::-1]))
+def _remark_status(monkeypatch, P, up, added):
+    """The remark's status when the up-sweep reports ``added``."""
+    monkeypatch.setattr(bstbounds.sweep, "sweep_add_up", lambda Q: up._replace(added=added))
+    return _by_name(run_checks(P, level="full"))["sweep-funnel-remark"].status
+
+
+@pytest.mark.parametrize("order", [reversed, sorted], ids=["reversed", "by-x"])
+def test_remark_passes_in_any_corner_order(monkeypatch, order):
+    # Corners are grouped by row before any row is tested, so they need
+    # not come in sweep order.
+    P, up, _ = _remark_setup()
+    assert _remark_status(monkeypatch, P, up, tuple(order(up.added))) == PASS
+
+
+def _corner_in_an_empty_row(P, up):
+    return (P.keys[0], max(P.ys) + 1)
+
+
+def _corner_of_a_key_never_accessed(P, up):
+    return (min(P.keys) - 1, up.added[0][1])
+
+
+def _corner_below_its_column_access(P, up):
+    # Left of its row's access, but that column is accessed later.
+    time_of = {x: y for x, y in P}
+    for x, y in P:
+        later = [c for c in P.keys if c < x and time_of[c] > y]
+        if later:
+            return (later[-1], y)
+    raise AssertionError("no column left of an access is accessed after it")
+
+
+@pytest.mark.parametrize(
+    "corner",
+    [_corner_in_an_empty_row, _corner_of_a_key_never_accessed, _corner_below_its_column_access],
+    ids=["empty-row", "key-never-accessed", "column-access-above"],
+)
+def test_misplaced_corner_fails_the_remark(monkeypatch, corner):
+    # Negative controls: one corner added to a good sweep, at a place no
+    # funnel pair can explain.
+    P, up, _ = _remark_setup()
+    assert _remark_status(monkeypatch, P, up, up.added + (corner(P, up),)) == FAIL
 
 
 def test_unknown_level_rejected():
@@ -310,7 +341,7 @@ def test_domination_failure_names_the_tree(monkeypatch, n):
     # Negative control: with both funnels forced to 0, the check fails on
     # alt_opt's witness up to 32 keys, and on the first walked tree, the
     # balanced one, above.
-    monkeypatch.setattr(bstbounds.funnel, "funnel_bound", lambda P: 0)
+    monkeypatch.setattr(bstbounds.funnel.FunnelView, "value", property(lambda view: 0))
     monkeypatch.setattr(bstbounds.funnel, "funnel_bound_fast", lambda P: 0)
     P = perm_pointset(n, 8)
     if n <= 32:
