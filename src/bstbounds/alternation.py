@@ -1,4 +1,4 @@
-"""Alternation lower bound for a fixed reference tree, and its optimizers.
+"""Alternation lower bound for a fixed reference tree, and its optimizer.
 
 A reference tree is a full binary tree whose leaves carry the distinct
 keys in increasing order.  It is represented structurally: a leaf is a
@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from itertools import accumulate
 from operator import add
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .geometry import PointSet, require_distinct_y, stretches
 
@@ -313,24 +313,6 @@ def alt_opt(P: PointSet) -> AltWitness:
     return AltWitness(value[0][n - 1], _build_tree(keys, lambda i, j: split[i][j]))
 
 
-def enumerate_trees(keys: Sequence[int]) -> Iterator[Tree]:
-    """All full binary trees over the sorted keys (Catalan many); an oracle."""
-    keys = list(keys)
-    if not keys:
-        raise ValueError("enumerate_trees: need at least one key")
-
-    def gen(lo: int, hi: int) -> Iterator[Tree]:
-        if lo == hi:
-            yield keys[lo]
-            return
-        for k in range(lo, hi):
-            for left in gen(lo, k):
-                for right in gen(k + 1, hi):
-                    yield (left, right)
-
-    return gen(0, len(keys) - 1)
-
-
 def random_tree(keys: Sequence[int], rng: random.Random) -> Tree:
     """Reference tree with uniformly random split at every node."""
     keys = list(keys)
@@ -338,21 +320,3 @@ def random_tree(keys: Sequence[int], rng: random.Random) -> Tree:
         raise ValueError("random_tree: need at least one key")
     return _build_tree(keys, rng.randrange)
 
-
-def alt_brute(P: PointSet, max_keys: int = 10) -> AltWitness:
-    """Exhaustive maximum over all reference trees; oracle for alt_opt."""
-    require_distinct_y(P, "alt_brute")
-    if not len(P):
-        raise ValueError("alt_brute: empty point set")
-    keys = P.keys
-    if len(keys) > max_keys:
-        raise ValueError(
-            f"alt_brute: {len(keys)} distinct keys exceeds the cap of {max_keys}"
-        )
-    best: AltWitness | None = None
-    for tree in enumerate_trees(keys):
-        v = alt_bound(P, tree)
-        if best is None or v > best.value:
-            best = AltWitness(v, tree)
-    assert best is not None
-    return best

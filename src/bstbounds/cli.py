@@ -48,6 +48,7 @@ from .geometry import (
     rotate90,
     serialize_pointset,
     serialize_trace,
+    stretches,
     time_reverse,
 )
 
@@ -184,9 +185,10 @@ _MAX_ALT_OPT_KEYS = 1000
 _ALT_PATH_ENTRY_BYTES = 8
 _ALT_KEY_BYTES = 340
 
-# Most steps ``alt_bound`` takes down a tree, the sum over the accesses
-# of their leaf's depth.  1.9e8 steps took 6.4 s (33 ns a step, 2-core
-# Intel Xeon, Python 3.11), so the cap is about half a minute.
+# Most steps ``alt_bound`` takes down a tree, the sum of the leaf depths
+# over the accesses its fold walks.  1.9e8 steps took 6.4 s (33 ns a
+# step, 2-core Intel Xeon, Python 3.11), so the cap is about half a
+# minute.
 _MAX_ALT_STEPS = 10**9
 
 
@@ -209,7 +211,8 @@ def _check_alt_cost(
             f"over the cap of {limit} bytes of memory"
         )
     if len(P) * max(depths.values()) > _MAX_ALT_STEPS:  # else the sum cannot be over
-        steps = sum(depths.get(x, 0) for x in P.xs)
+        walked = stretches(iter(P.xs), P.repeats)
+        steps = sum(depths.get(x, 0) for stretch, _, _ in walked for x in stretch)
         if steps > _MAX_ALT_STEPS:
             raise ValueError(
                 f"alt: {steps} steps down the reference tree exceed the cap of "
@@ -386,6 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     bounds = [b.strip() for b in args.bounds.split(",") if b.strip()]
+    if not bounds:
+        raise UsageError(f"--bounds names no bound; valid: {', '.join(BOUND_NAMES)}")
     for b in bounds:
         if b not in BOUND_NAMES:
             raise UsageError(f"unknown bound {b!r}; valid: {', '.join(BOUND_NAMES)}")

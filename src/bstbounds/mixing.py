@@ -1,31 +1,13 @@
 """Interleaving measure of two disjoint integer sets.
 
-``mix`` lays the union of the two sets out in increasing order and labels
-each element L or R by origin; ``blocks`` counts maximal runs of equal
-labels; ``mix_value`` is their composition, computed by a single merge
-without materializing the string.
+Lay the union of the two sets out in increasing order and label each
+element L or R by origin; ``mix_value`` counts the maximal runs of equal
+labels by a single merge, without materializing the string.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-
-def mix(left: Iterable[int], right: Iterable[int]) -> str:
-    """Label the sorted union of two disjoint sets by origin ('L'/'R')."""
-    L, R = set(left), set(right)
-    if L & R:
-        raise ValueError(f"mix: sets overlap on {sorted(L & R)}")
-    return "".join("L" if v in L else "R" for v in sorted(L | R))
-
-
-def blocks(s: str) -> int:
-    """Number of maximal runs of equal symbols; 0 for the empty string."""
-    if bad := set(s) - {"L", "R"}:
-        raise ValueError(f"blocks: alphabet is {{L,R}}, got {sorted(bad)}")
-    if not s:
-        return 0
-    return 1 + sum(1 for a, b in zip(s, s[1:]) if a != b)
 
 
 def merged_blocks(a: Sequence[int], b: Sequence[int]) -> int:
@@ -56,7 +38,7 @@ def merged_blocks(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def mix_value(left: Iterable[int], right: Iterable[int]) -> int:
-    """blocks(mix(left, right)), without building the string."""
+    """Run count of the labels of the sorted union of two disjoint sets."""
     L, R = sorted(set(left)), sorted(set(right))
     if set(L) & set(R):
         raise ValueError(f"mix_value: sets overlap on {sorted(set(L) & set(R))}")

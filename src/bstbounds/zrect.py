@@ -16,38 +16,19 @@ lie in the top's funnel, and a funnel point between them in time would
 lie inside the box.  The labels alternate run by run, so the patterns
 are a formula over the run count and the first label, and the first
 funnel point is always the previous access, as nothing lies between
-the two in time (``zrect_counts``).  ``is_zrect`` and ``zrects_brute``
-check the definition literally and serve as oracles.
+the two in time (``zrect_counts``).
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import NamedTuple, Sequence
 
 from .funnel import move_to_root
-from .geometry import Point, PointSet, require_distinct_xy
+from .geometry import PointSet, require_distinct_xy
 
 
 class ZRectResult(NamedTuple):
     count: int
-
-
-def is_zrect(P: PointSet, p: Point, q: Point, r: Point, s: Point) -> bool:
-    """Check the three z-rectangle conditions for roles (top p, left q,
-    bottom r, right s)."""
-    require_distinct_xy(P, "is_zrect")
-    for pt in (p, q, r, s):
-        if pt not in P:
-            raise ValueError(f"is_zrect: {pt} not in the point set")
-    if not (q[0] < p[0] < r[0] < s[0]):
-        return False
-    if not (r[1] < q[1] < s[1] < p[1]):
-        return False
-    inside = sum(
-        1 for x, y in P if q[0] <= x <= s[0] and r[1] <= y <= p[1]
-    )
-    return inside == 4
 
 
 def zrect_counts(xs: Sequence[int], runs: Sequence[int]) -> list[int]:
@@ -72,24 +53,3 @@ def zrects(P: PointSet) -> ZRectResult:
     move_to_root(P, runs)
     return ZRectResult(sum(zrect_counts(P.xs, runs)))
 
-
-def zrects_brute(P: PointSet, max_points: int = 12) -> int:
-    """Oracle count: test every ordered quadruple with a containment scan."""
-    require_distinct_xy(P, "zrects_brute")
-    if len(P) > max_points:
-        raise ValueError(
-            f"zrects_brute: {len(P)} points exceeds the cap of {max_points}"
-        )
-    pts = list(P)
-    count = 0
-    for p, q, r, s in permutations(pts, 4):
-        if not (q[0] < p[0] < r[0] < s[0]):
-            continue
-        if not (r[1] < q[1] < s[1] < p[1]):
-            continue
-        inside = sum(
-            1 for x, y in pts if q[0] <= x <= s[0] and r[1] <= y <= p[1]
-        )
-        if inside == 4:
-            count += 1
-    return count

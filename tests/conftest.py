@@ -5,15 +5,15 @@ from __future__ import annotations
 import functools
 import random
 import signal
-from itertools import accumulate
-from typing import NamedTuple
+from itertools import accumulate, permutations
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 import bstbounds as bb
 from bstbounds.alternation import _build_tree
-from bstbounds.geometry import ParseError, Point, PointSet, hflip, require_distinct_y
+from bstbounds.geometry import ParseError, Point, PointSet, hflip, require_distinct_xy, require_distinct_y
 from bstbounds.mixing import merged_blocks
 
 # Trace with a repeated key; its alternation value for the five-leaf
@@ -207,6 +207,23 @@ def disjoint_int_sets(draw, max_size: int = 20) -> tuple[set[int], set[int]]:
     return left, set(pool) - left
 
 
+def mix(left: Iterable[int], right: Iterable[int]) -> str:
+    """Label the sorted union of two disjoint sets by origin ('L'/'R')."""
+    L, R = set(left), set(right)
+    if L & R:
+        raise ValueError(f"mix: sets overlap on {sorted(L & R)}")
+    return "".join("L" if v in L else "R" for v in sorted(L | R))
+
+
+def blocks(s: str) -> int:
+    """Number of maximal runs of equal symbols; 0 for the empty string."""
+    if bad := set(s) - {"L", "R"}:
+        raise ValueError(f"blocks: alphabet is {{L,R}}, got {sorted(bad)}")
+    if not s:
+        return 0
+    return 1 + sum(1 for a, b in zip(s, s[1:]) if a != b)
+
+
 def zrects_forced_roles(P: PointSet) -> list[ZRect]:
     """Cubic z-rectangle scan, kept as an oracle for ``zrects``.
 
@@ -242,6 +259,34 @@ def zrects_forced_roles(P: PointSet) -> list[ZRect]:
     return found
 
 
+def _zrect_holds(P: PointSet, p: Point, q: Point, r: Point, s: Point) -> bool:
+    return (
+        q[0] < p[0] < r[0] < s[0]
+        and r[1] < q[1] < s[1] < p[1]
+        and sum(1 for x, y in P if q[0] <= x <= s[0] and r[1] <= y <= p[1]) == 4
+    )
+
+
+def is_zrect(P: PointSet, p: Point, q: Point, r: Point, s: Point) -> bool:
+    """Check the three z-rectangle conditions for roles (top p, left q,
+    bottom r, right s)."""
+    require_distinct_xy(P, "is_zrect")
+    for pt in (p, q, r, s):
+        if pt not in P:
+            raise ValueError(f"is_zrect: {pt} not in the point set")
+    return _zrect_holds(P, p, q, r, s)
+
+
+def zrects_brute(P: PointSet, max_points: int = 12) -> int:
+    """Oracle count: test every ordered quadruple against the definition."""
+    require_distinct_xy(P, "zrects_brute")
+    if len(P) > max_points:
+        raise ValueError(
+            f"zrects_brute: {len(P)} points exceeds the cap of {max_points}"
+        )
+    return sum(_zrect_holds(P, *roles) for roles in permutations(P, 4))
+
+
 def alt_bound_filtered(P: PointSet, tree: bb.Tree) -> int:
     """Alternation bound by one filtered copy of the keys per tree node,
     kept as an oracle for ``alt_bound``: at every internal node, count
@@ -266,6 +311,43 @@ def alt_bound_filtered(P: PointSet, tree: bb.Tree) -> int:
         stack.append((left, [x for x in xs if x <= boundary]))
         stack.append((right, [x for x in xs if x > boundary]))
     return total
+
+
+def enumerate_trees(keys: Sequence[int]) -> Iterator[bb.Tree]:
+    """All full binary trees over the sorted keys (Catalan many)."""
+    keys = list(keys)
+    if not keys:
+        raise ValueError("enumerate_trees: need at least one key")
+
+    def gen(lo: int, hi: int) -> Iterator[bb.Tree]:
+        if lo == hi:
+            yield keys[lo]
+            return
+        for k in range(lo, hi):
+            for left in gen(lo, k):
+                for right in gen(k + 1, hi):
+                    yield (left, right)
+
+    return gen(0, len(keys) - 1)
+
+
+def alt_brute(P: PointSet, max_keys: int = 10) -> bb.AltWitness:
+    """Exhaustive maximum over all reference trees; oracle for alt_opt."""
+    require_distinct_y(P, "alt_brute")
+    if not len(P):
+        raise ValueError("alt_brute: empty point set")
+    keys = P.keys
+    if len(keys) > max_keys:
+        raise ValueError(
+            f"alt_brute: {len(keys)} distinct keys exceeds the cap of {max_keys}"
+        )
+    best: bb.AltWitness | None = None
+    for tree in enumerate_trees(keys):
+        v = bb.alt_bound(P, tree)
+        if best is None or v > best.value:
+            best = bb.AltWitness(v, tree)
+    assert best is not None
+    return best
 
 
 def parse_trace_whole(text: str) -> list[int]:

@@ -8,16 +8,14 @@ import random
 import bstbounds as bb
 from bstbounds.alternation import (
     alt_bound,
-    alt_brute,
     alt_opt,
     balanced_tree,
-    enumerate_trees,
     random_tree,
 )
 from bstbounds.funnel import f_value, funnel_bound, funnel_bound_fast, funnel_of
 from bstbounds.geometry import from_trace, hflip, rotate90, time_reverse
 from bstbounds.sweep import classify_added, irb_down, irb_up, sweep_add_up
-from bstbounds.zrect import zrects, zrects_brute
+from bstbounds.zrect import zrects
 
 from conftest import (
     FUNNEL_POINT,
@@ -34,6 +32,9 @@ from conftest import (
     ZR_BLOCKED,
     ZR_MISORDERED,
     ZR_VALID,
+    alt_brute,
+    enumerate_trees,
+    zrects_brute,
 )
 
 

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 import bstbounds as bb
 from bstbounds.alternation import (
     alt_bound,
-    alt_brute,
     alt_opt,
     balanced_tree,
-    enumerate_trees,
     format_tree,
     leaf_depths,
     parse_tree,
@@ -24,9 +22,11 @@ from conftest import (
     SIX_TRACE,
     SIX_TREE_TEXT,
     alt_bound_filtered,
+    alt_brute,
     alt_opt_interval_scan,
     alt_opt_linked,
     alt_opt_merged_table,
+    enumerate_trees,
     parse_tree_recursive,
     perm_pointset,
     point_sets,

@@ -331,6 +331,23 @@ def test_tree_caps_spare_runs_within_them_and_other_trees(
     assert (code, err) == (0, "")
 
 
+def test_step_cap_counts_only_the_accesses_the_fold_walks(capsys, tmp_path, monkeypatch):
+    # 64 keys 200 times: the plan is [(128, 64, 198)], so the walk takes
+    # two periods, 128 accesses of depth 6 in the balanced tree.
+    path = tmp_path / "scan.txt"
+    path.write_text("".join(f"{k}\n" for k in range(1, 65)) * 200)
+    argv = ["compute", str(path), "--bounds", "alt"]
+    uncapped = run(capsys, *argv)
+    assert uncapped == (0, "alt\t25200\n", "")
+    monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 768)
+    assert run(capsys, *argv) == uncapped
+    monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 767)
+    _no_kernel(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "bstbounds: alt: 768 steps down the reference tree exceed the cap of 767\n"
+
+
 @pytest.mark.parametrize("tree", ["balanced", "file"])
 def test_every_walked_tree_is_costed_with_the_input(
     capsys, trace_file, six_tree, monkeypatch, tree
@@ -556,6 +573,8 @@ def test_compute_rejects_unknown_bound(capsys, trio_file):
         (["--bounds", "funnel,magic"], "unknown bound 'magic'"),
         (["--bounds", "funnel", "--sweep-to", "out.sweep"], "--sweep-to needs exactly one"),
         (["--bounds", "alt", "--tree", "junk"], "--tree must be balanced, opt, or @<file>"),
+        (["--bounds", ","], "--bounds names no bound; valid: alt, alt-opt,"),
+        (["--bounds", ""], "--bounds names no bound; valid: alt, alt-opt,"),
     ],
 )
 def test_compute_usage_is_checked_before_the_input_is_read(capsys, argv, message):
@@ -1454,7 +1473,15 @@ _ORACLES = {
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, ns in _ORACLES.items() for n in ns])
 def test_oracles_are_not_exported(module, name):
-    # Oracles stay in their modules, imported from there, not from the package.
+    # No oracle is exported.  The funnel's stay in their module, which
+    # ``verify`` uses; the others are test-only, kept in conftest.py, so
+    # no module of the package defines or holds them.
     assert name not in bb.__all__
     assert not hasattr(bb, name)
-    assert callable(getattr(importlib.import_module(f"bstbounds.{module}"), name))
+    if module == "funnel":
+        assert callable(getattr(bstbounds.funnel, name))
+        return
+    for path in sorted(Path(bstbounds.__file__).parent.glob("*.py")):
+        assert f"def {name}(" not in path.read_text(encoding="utf-8"), path.name
+        stem = "" if path.stem == "__init__" else f".{path.stem}"
+        assert not hasattr(importlib.import_module(f"bstbounds{stem}"), name), path.name

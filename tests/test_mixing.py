@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bstbounds.mixing import blocks, merged_blocks, mix, mix_value
+from bstbounds.mixing import merged_blocks, mix_value
 
-from conftest import disjoint_int_sets
+from conftest import blocks, disjoint_int_sets, mix
 
 
 def test_mix_interleaves_by_origin():

@@ -8,11 +8,11 @@ import bstbounds.funnel
 import bstbounds.sweep
 import bstbounds.verify
 import bstbounds.zrect
-from bstbounds.alternation import alt_bound, alt_opt, balanced_tree, enumerate_trees, format_tree
+from bstbounds.alternation import alt_bound, alt_opt, balanced_tree, format_tree
 from bstbounds.geometry import from_trace
 from bstbounds.verify import FAIL, INFO, PASS, SKIP, run_checks
 
-from conftest import WORKED_EXAMPLES, TRIO, out_of_sweep_order, perm_pointset
+from conftest import WORKED_EXAMPLES, TRIO, enumerate_trees, out_of_sweep_order, perm_pointset
 
 
 def _by_name(report):
@@ -308,7 +308,7 @@ def _counting(monkeypatch, name):
 
 @pytest.mark.parametrize("n", [2, 7, 8, 32])
 def test_full_level_up_to_32_keys_asks_alt_opt_once(monkeypatch, n):
-    for name in ("enumerate_trees", "random_tree", "alt_bound"):
+    for name in ("random_tree", "alt_bound"):
         monkeypatch.setattr(bstbounds.alternation, name, _never)
     opt_calls = _counting(monkeypatch, "alt_opt")
     for trace in (bb.random_permutation(n, n), [k % n + 1 for k in range(3 * n)]):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from bstbounds.funnel import funnel_bound_fast, move_to_root
 from bstbounds.geometry import PointSet, from_trace, hflip, rotate90
-from bstbounds.zrect import is_zrect, zrect_counts, zrects, zrects_brute
+from bstbounds.zrect import zrect_counts, zrects
 
 from conftest import (
     SWEEP_SET,
@@ -17,8 +17,10 @@ from conftest import (
     ZR_VALID,
     ZR_VALID_ROLES,
     ZRect,
+    is_zrect,
     point_sets,
     seeded_perms,
+    zrects_brute,
     zrects_forced_roles,
 )
 
