@@ -10,12 +10,12 @@ split by ``geometry.line_chunks``, so their numbers agree.
 ``compute`` checks its whole command line, a ``--tree`` file included,
 before it reads the input.
 
-Exit codes: 0 on success, 1 when a check fails or an input is refused
+Exit codes: 0 on success, 1 when a check fails, an input is refused
 (e.g. repeated keys for z-rectangle counting, an input or ``--tree``
 file too large for the process's memory, ``alt-opt`` on more keys than
 its cap, or ``alt`` on a tree whose paths would take too much memory or
-too many steps), 2 on usage or parse errors.  A reader that closes
-``gen``'s output early ends it quietly with exit 0.
+too many steps) or memory runs out, 2 on usage or parse errors.  A
+reader that closes ``gen``'s output early ends it quietly with exit 0.
 Output is tab-separated, one record per line; lines starting with
 ``#`` are commentary.  ``gen`` writes its trace one block (or slice of
 keys) at a time and never holds the whole trace or its text.
@@ -44,6 +44,7 @@ from .geometry import (
     line_chunks,
     parse_pointset,
     parse_trace,
+    require_distinct_xy,
     require_distinct_y,
     rotate90,
     serialize_pointset,
@@ -75,8 +76,6 @@ def compute_bounds(
     bounds: Sequence[str],
     tree: Union[str, alternation.Tree] = "balanced",
     sweeps: Optional[dict[str, sweep.SweepOutput]] = None,
-    input_size: int = 0,
-    input_mapped: int = 0,
 ) -> tuple[BoundEntry, ...]:
     """Evaluate the requested bounds, each timed on its own.  ``tree`` is
     ``alt``'s reference tree: ``"balanced"`` over P's keys, ``"opt"`` or a
@@ -84,17 +83,13 @@ def compute_bounds(
     reads one ``alt_opt`` witness, charged to the first bound that asks,
     and each alt entry carries its tree unformatted.
     With ``sweeps`` given, each ``irb-up``/``irb-down`` sweep's output is
-    stored in it under the bound's name, for writing out without a rerun.
-    ``input_size``, the length of the text P was read from, is charged
-    with the tree ``alt`` walks against the memory cap, less
-    ``input_mapped``, what the process mapped while reading it, which
-    the cap has already taken off."""
+    stored in it under the bound's name, for writing out without a rerun."""
     if isinstance(tree, str) and tree not in ("balanced", "opt"):
         raise ValueError(f"tree must be 'balanced', 'opt' or a Tree, got {tree!r}")
     source = tree if isinstance(tree, str) else "file"
-    # The bounds that read the optimal tree.  One that needs it on too
-    # many keys, or an alt tree whose paths would take too much memory or
-    # too many steps, is refused before any kernel runs.
+    # The bounds that read the optimal tree.  One that needs it on too many
+    # keys, one that needs distinct keys on repeated ones, or an alt tree too
+    # large or too slow to walk is refused before any kernel runs.
     needs_opt = [b for b in bounds if b == "alt-opt" or (b == "alt" and source == "opt")]
     if needs_opt and len(P.keys) > _MAX_ALT_OPT_KEYS:
         bound = "alt-opt" if needs_opt[0] == "alt-opt" else "alt --tree opt"
@@ -102,6 +97,10 @@ def compute_bounds(
             f"{bound}: {len(P.keys)} distinct keys exceed the cap of "
             f"{_MAX_ALT_OPT_KEYS} for the optimal reference tree"
         )
+    distinct = [b for b in bounds if b in ("zrects", "irb-up", "irb-down")]
+    if distinct:  # refused under the name of the first one's kernel
+        prefix = "" if distinct[0] == "zrects" else "irb_" if sweeps is None else "sweep_add_"
+        require_distinct_xy(P, prefix + distinct[0].replace("irb-", ""))
     if "alt" in bounds or "alt-opt" in bounds:
         from . import alternation
     # The tree alt walks, costed now.  An empty P has no balanced or
@@ -110,7 +109,7 @@ def compute_bounds(
     if "alt" in bounds and source != "opt" and len(P):
         if alt_tree is None:
             alt_tree = alternation.balanced_tree(P.keys)
-        _check_alt_cost(P, alternation.leaf_depths(alt_tree), input_size, input_mapped)
+        _check_alt_cost(P, alternation.leaf_depths(alt_tree))
     best = None  # the alt_opt witness, once a bound has asked for it
 
     # Each kernel module is imported before the first timer starts, so
@@ -192,22 +191,14 @@ _ALT_KEY_BYTES = 340
 _MAX_ALT_STEPS = 10**9
 
 
-def _check_alt_cost(
-    P: PointSet, depths: dict[int, int], input_size: int, input_mapped: int
-) -> None:
-    """Refuse ``alt`` on the tree with these leaf depths when the input's
-    share of memory (as the input cap counts it, less the ``input_mapped``
-    bytes its load already mapped), the tree's paths and its keys would
-    pass the memory cap, or its walk would pass the step cap."""
-    estimate = (
-        max(0, input_size * _PEAK_BYTES_PER_INPUT_BYTE - input_mapped)
-        + sum(depths.values()) * _ALT_PATH_ENTRY_BYTES
-        + len(depths) * _ALT_KEY_BYTES
-    )
+def _check_alt_cost(P: PointSet, depths: dict[int, int]) -> None:
+    """Refuse ``alt`` when this tree's paths and keys, all it has left to
+    allocate, would pass the memory cap, or its walk the step cap."""
+    estimate = sum(depths.values()) * _ALT_PATH_ENTRY_BYTES + len(depths) * _ALT_KEY_BYTES
     limit = _memory_limit()
     if estimate > limit:
         raise ValueError(
-            f"alt: the input and the reference tree's paths take about {estimate} bytes, "
+            f"alt: the reference tree's paths take about {estimate} bytes, "
             f"over the cap of {limit} bytes of memory"
         )
     if len(P) * max(depths.values()) > _MAX_ALT_STEPS:  # else the sum cannot be over
@@ -310,18 +301,9 @@ def _detect_format(text: str) -> str:
 
 
 def load_pointset(path: str) -> PointSet:
-    """The input as a point set, as ``_load`` reads it."""
-    return _load(path)[0]
-
-
-def _load(path: str) -> tuple[PointSet, int]:
-    """Read, parse and build the input in one pass of one parser; also
-    return the length of its text.
-
-    The first data line fixes the format, and a later line that the
-    parser refuses is reported as a mixed input when it has the other
-    format's width.
-    """
+    """Read, parse and build the input in one pass of one parser.  The first
+    data line fixes the format; a later line the parser refuses is reported
+    as a mixed input when it has the other format's width."""
     text = _read_input(path)
     fmt = _detect_format(text)
     try:
@@ -335,7 +317,7 @@ def _load(path: str) -> tuple[PointSet, int]:
         if _line_format(bad_line, exc.line) != fmt:
             raise ParseError("mixed trace and point-set lines", exc.line) from None
         raise
-    return P, len(text)
+    return P
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -411,11 +393,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         if args.sweep_to
         else contextlib.nullcontext()
     ) as fh:
-        before = _mapped_bytes()
-        P, input_size = _load(args.input)
-        # What the load mapped is already off the memory cap.
-        input_mapped = max(0, _mapped_bytes() - before)
-        entries = compute_bounds(P, bounds, tree, sweeps, input_size, input_mapped)
+        P = load_pointset(args.input)
+        entries = compute_bounds(P, bounds, tree, sweeps)
         if sweeps is not None:
             from . import sweep
 
@@ -529,6 +508,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"bstbounds: {exc}", file=sys.stderr)
         return 1
+    except (MemoryError, SystemError):  # 3.11+ may raise the latter when out of memory
+        pass  # print once the error's frames, and the memory they hold, are freed
+    print("bstbounds: out of memory", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

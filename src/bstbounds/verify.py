@@ -26,6 +26,7 @@ replays the input once more for the z-rectangle tops.
 from __future__ import annotations
 
 import random
+from itertools import chain
 from typing import NamedTuple
 
 from . import alternation, funnel, sweep, zrect
@@ -112,11 +113,11 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     # Two-sided domination: funnel(P) + funnel(rev P) >= alt_T(P) for every tree T.
     if level == "full" and 0 < n <= _ALT_OPT_KEYS:
         candidates = [alternation.alt_opt(P)]
-    else:
-        trees = [alternation.balanced_tree(keys)] if n else []
-        if level == "full" and n:
-            rng = random.Random(seed)
-            trees += [alternation.random_tree(keys, rng) for _ in range(20)]
+    else:  # each tree is built only once the one before it is walked
+        rng = random.Random(seed)
+        samples = range(20 if level == "full" else 0)
+        drawn = (alternation.random_tree(keys, rng) for _ in samples)
+        trees = chain([alternation.balanced_tree(keys)], drawn) if n else ()
         candidates = ((alternation.alt_bound(P, t), t) for t in trees)
     bad = ""
     for alt, tree in candidates:

@@ -5,6 +5,11 @@ import os
 import random
 import subprocess
 import sys
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 import tracemalloc
 from pathlib import Path
 
@@ -283,24 +288,23 @@ def six_tree(tmp_path):
     return f"@{tree}"
 
 
-def _alt_costs(monkeypatch, limit, per_entry, per_key, per_input_byte):
+def _alt_costs(monkeypatch, limit, per_entry, per_key):
     monkeypatch.setattr(cli, "_memory_limit", lambda: limit)
     monkeypatch.setattr(cli, "_ALT_PATH_ENTRY_BYTES", per_entry)
     monkeypatch.setattr(cli, "_ALT_KEY_BYTES", per_key)
-    monkeypatch.setattr(cli, "_PEAK_BYTES_PER_INPUT_BYTE", per_input_byte)
 
 
 def test_tree_file_whose_paths_exceed_memory_is_refused_before_any_kernel(
     capsys, trace_file, six_tree, monkeypatch
 ):
-    # 12 path entries, 5 keys and the 12-byte input.
-    _alt_costs(monkeypatch, 10**6, 10**5, 10**3, 10)
+    # 12 path entries and 5 keys.
+    _alt_costs(monkeypatch, 10**6, 10**5, 10**3)
     _no_kernel(monkeypatch)
     argv = ["compute", trace_file, "--bounds", "funnel,alt", "--tree", six_tree]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == (
-        "bstbounds: alt: the input and the reference tree's paths take about 1205120 "
+        "bstbounds: alt: the reference tree's paths take about 1205000 "
         "bytes, over the cap of 1000000 bytes of memory\n"
     )
 
@@ -320,12 +324,12 @@ def test_tree_caps_spare_runs_within_them_and_other_trees(
     capsys, trace_file, six_tree, monkeypatch
 ):
     monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 14)  # exactly the steps taken
-    _alt_costs(monkeypatch, 1205120, 10**5, 10**3, 10)  # exactly the estimate
+    _alt_costs(monkeypatch, 1205000, 10**5, 10**3)  # exactly the estimate
     code, out, err = run(capsys, "compute", trace_file, "--bounds", "alt", "--tree", six_tree)
     assert (code, out, err) == (0, "alt\t11\n", "")
     # alt-opt walks no tree, so the optimal tree is not costed.
     monkeypatch.setattr(cli, "_MAX_ALT_STEPS", 0)
-    _alt_costs(monkeypatch, 10**6, 10**30, 10**30, 10)
+    _alt_costs(monkeypatch, 10**6, 10**30, 10**30)
     argv = ["compute", trace_file, "--bounds", "alt,alt-opt", "--tree", "opt"]
     code, _, err = run(capsys, *argv)
     assert (code, err) == (0, "")
@@ -353,13 +357,9 @@ def test_every_walked_tree_is_costed_with_the_input(
     capsys, trace_file, six_tree, monkeypatch, tree
 ):
     # SIX_TRACE's balanced tree (((1 2) 3) (4 5)) has 12 path entries
-    # too, so both trees cost the same beside the 12-byte input.
+    # too, so both trees cost the same on this input.
     spec = six_tree if tree == "file" else tree
-    estimate = (
-        12 * cli._ALT_PATH_ENTRY_BYTES
-        + 5 * cli._ALT_KEY_BYTES
-        + 12 * cli._PEAK_BYTES_PER_INPUT_BYTE
-    )
+    estimate = 12 * cli._ALT_PATH_ENTRY_BYTES + 5 * cli._ALT_KEY_BYTES
     monkeypatch.setattr(cli, "_memory_limit", lambda: estimate)
     code, out, err = run(capsys, "compute", trace_file, "--bounds", "funnel,alt", "--tree", spec)
     assert (code, err) == (0, "")
@@ -368,7 +368,7 @@ def test_every_walked_tree_is_costed_with_the_input(
     code, out, err = run(capsys, "compute", trace_file, "--bounds", "funnel,alt", "--tree", spec)
     assert (code, out) == (1, "")
     assert err == (
-        f"bstbounds: alt: the input and the reference tree's paths take about {estimate} "
+        f"bstbounds: alt: the reference tree's paths take about {estimate} "
         f"bytes, over the cap of {estimate - 1} bytes of memory\n"
     )
     monkeypatch.setattr(cli, "_memory_limit", lambda: 10**9)
@@ -378,25 +378,45 @@ def test_every_walked_tree_is_costed_with_the_input(
     assert err == "bstbounds: alt: 14 steps down the reference tree exceed the cap of 13\n"
 
 
-def test_shuffled_trace_under_a_small_memory_cap_is_refused_cleanly(tmp_path, monkeypatch):
-    # 100,000 shuffled keys (588,895 bytes) need about 69 MB of address
-    # space for funnel,alt; under a 60,000 KiB limit the balanced tree's
-    # walk ran out of memory, and under 90,000 KiB it must still run.
+@pytest.fixture
+def shuffled_file(tmp_path):
     keys = list(range(1, 100_001))
     random.Random(1).shuffle(keys)
     path = tmp_path / "shuffled.txt"
     path.write_text("".join(f"{k}\n" for k in keys))
     assert path.stat().st_size == 588_895
-    P = load_pointset(str(path))
-    calls = []
-    monkeypatch.setattr(bstbounds.alternation, "alt_bound", lambda P, tree: calls.append(tree))
-    monkeypatch.setattr(cli, "_memory_limit", lambda: 60_000 * 1024)
-    with pytest.raises(ValueError, match=r"^alt: the input and the reference tree's paths"):
-        compute_bounds(P, ["alt"], "balanced", None, 588_895)
-    assert calls == []
-    monkeypatch.setattr(cli, "_memory_limit", lambda: 90_000 * 1024)
-    compute_bounds(P, ["alt"], "balanced", None, 588_895)
-    assert calls == [bb.balanced_tree(P.keys)]
+    return str(path)
+
+
+_LIMIT_PROBE = """
+import sys
+from bstbounds import cli
+limit = int(sys.argv[1]) << 10
+cli.resource.getrlimit = lambda what: (limit, limit)
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_shuffled_trace_under_a_small_memory_cap_is_refused_cleanly(shuffled_file):
+    # 100,000 shuffled keys (588,895 bytes) need about 69 MB of address
+    # space for funnel,alt; under a 60,000 KiB limit the balanced tree's
+    # walk ran out of memory, and under 90,000 KiB it must still run.  A
+    # fresh interpreter reads the limit, so the cap is charged with what
+    # a real run maps.
+    for kib, code in [(60_000, 1), (90_000, 0)]:
+        argv = [str(kib), "compute", shuffled_file, "--bounds", "funnel,alt"]
+        proc = subprocess.run(
+            [sys.executable, "-c", _LIMIT_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("bstbounds: alt: the reference tree's paths take")
+        else:
+            assert proc.stdout == "funnel\t1058053\nalt\t928560\n"
 
 
 def test_memory_caps_charge_what_the_process_maps(capsys, trace_file, monkeypatch):
@@ -408,7 +428,7 @@ def test_memory_caps_charge_what_the_process_maps(capsys, trace_file, monkeypatc
     limit = [0]
     monkeypatch.setattr(cli.resource, "getrlimit", lambda what: (limit[0], limit[0]))
     monkeypatch.setattr(cli, "_mapped_bytes", lambda: base)
-    estimate = 12 * cli._ALT_PATH_ENTRY_BYTES + 5 * cli._ALT_KEY_BYTES + 12 * per_byte
+    estimate = 12 * cli._ALT_PATH_ENTRY_BYTES + 5 * cli._ALT_KEY_BYTES
     limit[0] = base + estimate
     assert run(capsys, "compute", trace_file, "--bounds", "funnel,alt") == (
         0,
@@ -420,7 +440,7 @@ def test_memory_caps_charge_what_the_process_maps(capsys, trace_file, monkeypatc
     assert run(capsys, "compute", trace_file, "--bounds", "funnel,alt") == (
         1,
         "",
-        "bstbounds: alt: the input and the reference tree's paths take about "
+        "bstbounds: alt: the reference tree's paths take about "
         f"{estimate} bytes, over the cap of {estimate - 1} bytes of memory\n",
     )
     limit[0] = base + 12 * per_byte - 1
@@ -432,41 +452,55 @@ def test_memory_caps_charge_what_the_process_maps(capsys, trace_file, monkeypatc
     )
 
 
-@pytest.mark.parametrize("grown", [100, 1000])
-def test_alt_cap_charges_the_input_only_beyond_what_its_load_mapped(
-    capsys, trace_file, monkeypatch, grown
+def test_alt_estimate_does_not_grow_with_the_input_file(
+    capsys, trace_file, tmp_path, monkeypatch
 ):
-    # The load maps ``grown`` bytes, which the cap has already taken off,
-    # so the input's term is charged only past them, and never below 0.
-    base = 19 << 20
-    mapped = [base]
-    real_load = cli._load
-
-    def loading(path):
-        loaded = real_load(path)
-        mapped[0] += grown
-        return loaded
-
-    limit = [0]
-    monkeypatch.setattr(cli, "_load", loading)
-    monkeypatch.setattr(cli, "_mapped_bytes", lambda: mapped[0])
-    monkeypatch.setattr(cli.resource, "getrlimit", lambda what: (limit[0], limit[0]))
-    input_term = max(0, 12 * cli._PEAK_BYTES_PER_INPUT_BYTE - grown)
-    estimate = 12 * cli._ALT_PATH_ENTRY_BYTES + 5 * cli._ALT_KEY_BYTES + input_term
-    mapped[0], limit[0] = base, base + grown + estimate
-    assert run(capsys, "compute", trace_file, "--bounds", "funnel,alt") == (
-        0,
-        "funnel\t8\nalt\t12\n",
-        "",
-    )
-    mapped[0], limit[0] = base, base + grown + estimate - 1
+    # alt is costed once the input is loaded, on the tree's paths and keys
+    # alone: comment lines that make the file larger leave the estimate.
+    padded = tmp_path / "padded.txt"
+    padded.write_text("# padding\n" * 1000 + Path(trace_file).read_text())
+    _alt_costs(monkeypatch, 10**6, 10**5, 10**3)
     _no_kernel(monkeypatch)
-    assert run(capsys, "compute", trace_file, "--bounds", "funnel,alt") == (
-        1,
-        "",
-        "bstbounds: alt: the input and the reference tree's paths take about "
-        f"{estimate} bytes, over the cap of {estimate - 1} bytes of memory\n",
+    for path in (trace_file, str(padded)):
+        assert run(capsys, "compute", path, "--bounds", "funnel,alt") == (
+            1,
+            "",
+            "bstbounds: alt: the reference tree's paths take about 1205000 bytes, "
+            "over the cap of 1000000 bytes of memory\n",
+        )
+
+
+def _under_rlimit_as(kib, *argv):
+    """``python -m bstbounds.cli argv`` in a child whose address space is
+    limited to ``kib`` KiB."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (kib << 10, kib << 10))
+
+    return subprocess.run(
+        [sys.executable, "-m", "bstbounds.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        preexec_fn=limit,
     )
+
+
+@pytest.mark.skipif(
+    resource is None or not hasattr(resource, "RLIMIT_AS"), reason="no RLIMIT_AS here"
+)
+def test_alt_guard_under_a_real_address_space_limit(shuffled_file):
+    # funnel,alt on 100,000 shuffled keys runs out of memory in alt's
+    # walk below about 70,000 KiB; the guard refuses it there, before
+    # any kernel, and lets it run where it fits.
+    argv = ["compute", shuffled_file, "--bounds", "funnel,alt"]
+    refused = _under_rlimit_as(60_000, *argv)
+    assert (refused.returncode, refused.stdout) == (1, ""), refused.stderr
+    assert refused.stderr.startswith("bstbounds: alt: the reference tree's paths take")
+    assert "Traceback" not in refused.stderr
+    ran = _under_rlimit_as(100_000, *argv)
+    assert (ran.returncode, ran.stderr) == (0, "")
+    assert ran.stdout == "funnel\t1058053\nalt\t928560\n"
 
 
 def test_mapped_bytes_come_from_statm_or_the_measured_base(monkeypatch):
@@ -559,6 +593,45 @@ def test_compute_refuses_a_counting_sweep_under_its_own_name(capsys, trace_file,
     name = bound.replace("-", "_")
     assert (code, out) == (1, "")
     assert err == f"bstbounds: {name}: point set must have distinct x-coordinates\n"
+
+
+@pytest.mark.parametrize(
+    "bounds, sweep_to, kernel",
+    [
+        ("alt-opt,zrects", False, "zrects"),
+        ("alt-opt,funnel,irb-down,zrects", False, "irb_down"),
+        ("alt-opt,irb-up", True, "sweep_add_up"),
+    ],
+)
+def test_repeated_keys_are_refused_before_any_kernel_runs(
+    capsys, trace_file, tmp_path, monkeypatch, bounds, sweep_to, kernel
+):
+    # A bound that needs distinct keys is refused under its kernel's name
+    # before alt-opt or any other bound ahead of it runs.
+    monkeypatch.setattr(bstbounds.alternation, "alt_opt", _never)
+    monkeypatch.setattr(bstbounds.funnel, "funnel_bound_fast", _never)
+    argv = ["compute", trace_file, "--bounds", bounds]
+    if sweep_to:
+        argv += ["--sweep-to", str(tmp_path / "out.sweep")]
+    assert run(capsys, *argv) == (
+        1,
+        "",
+        f"bstbounds: {kernel}: point set must have distinct x-coordinates\n",
+    )
+
+
+@pytest.mark.parametrize("error", [MemoryError, SystemError])
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_running_out_of_memory_is_one_line_not_a_traceback(
+    capsys, trace_file, monkeypatch, command, error
+):
+    # Python may report a MemoryError it had no memory to record as a
+    # SystemError ("error return without exception set").
+    def no_memory(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(bstbounds.funnel, "move_to_root", no_memory)
+    assert run(capsys, command, trace_file) == (1, "", "bstbounds: out of memory\n")
 
 
 def test_compute_rejects_unknown_bound(capsys, trio_file):

@@ -8,7 +8,7 @@ import bstbounds.funnel
 import bstbounds.sweep
 import bstbounds.verify
 import bstbounds.zrect
-from bstbounds.alternation import alt_bound, alt_opt, balanced_tree, format_tree
+from bstbounds.alternation import alt_bound, alt_opt, balanced_tree, format_tree, random_tree
 from bstbounds.geometry import from_trace
 from bstbounds.verify import FAIL, INFO, PASS, SKIP, run_checks
 
@@ -334,6 +334,33 @@ def test_full_level_above_32_keys_walks_21_trees(monkeypatch):
     walked = _counting(monkeypatch, "alt_bound")
     assert run_checks(perm_pointset(33, 4), level="full").ok
     assert (len(sampled), len(walked)) == (20, 21)
+
+
+def test_full_level_builds_each_tree_once_the_one_before_is_walked(monkeypatch):
+    # Building and walking alternate, so one sampled tree at a time is
+    # held; the trees are the balanced one and then the seeded draws.
+    monkeypatch.setattr(bstbounds.alternation, "alt_opt", _never)
+    events = []
+    for name in ("balanced_tree", "random_tree", "alt_bound"):
+        real = getattr(bstbounds.alternation, name)
+
+        def logged(*args, real=real, name=name):
+            events.append((name, args[-1] if name == "alt_bound" else None))
+            return real(*args)
+
+        monkeypatch.setattr(bstbounds.alternation, name, logged)
+    P = perm_pointset(40, 6)
+    assert run_checks(P, level="full", seed=7).ok
+    assert [name for name, _ in events] == ["balanced_tree", "alt_bound"] + [
+        "random_tree",
+        "alt_bound",
+    ] * 20
+    rng = random.Random(7)
+    drawn = [random_tree(P.keys, rng) for _ in range(20)]
+    assert [tree for name, tree in events if name == "alt_bound"] == [
+        balanced_tree(P.keys),
+        *drawn,
+    ]
 
 
 @pytest.mark.parametrize("n", [5, 32, 33])
