@@ -4,9 +4,13 @@ Subcommands: ``compute`` (evaluate bounds on a trace or point set),
 ``gen`` (emit generator traces), ``transform`` (geometric transforms of
 a point set), ``verify`` (run the exact cross-check suite).
 
-An input is a trace or a point set, as its first data line says.  That
-line, every line the parsers read and the line an error names are all
-split by ``geometry.line_chunks``, so their numbers agree.
+An input is UTF-8 text, less a leading byte-order mark, and a trace or
+a point set, as its first data line says.  That line, every line the
+parsers read and the line an error names are all split at the same
+cuts (``geometry.line_chunks``), so their numbers agree.  A trace's
+repeated blocks are folded as it is read: their copies are counted on
+its text and never converted, and the point set caches the repeat plan
+and the distinct keys the reader met.
 ``compute`` checks its whole command line, a ``--tree`` file included,
 before it reads the input.
 
@@ -39,6 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequ
 from .geometry import (
     ParseError,
     PointSet,
+    Repeat,
     from_trace,
     hflip,
     line_chunks,
@@ -270,11 +275,12 @@ def _read_input(path: str) -> str:
 
 
 def _decode(data: bytes, where: str = "") -> str:
-    """``data`` as UTF-8 text; a bad byte is a parse error on its line."""
+    """``data`` as UTF-8 text, less a leading byte-order mark; a bad byte
+    is a parse error on its line."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].decode("utf-8")
+        head = exc.object[: exc.start].decode("utf-8")  # the bytes after the mark
         # "?" stands for the bad byte
         line = sum(len(lines) for _, lines in line_chunks(head + "?"))
         raise ParseError(f"not UTF-8 text{where}", line) from None
@@ -307,7 +313,12 @@ def load_pointset(path: str) -> PointSet:
     text = _read_input(path)
     fmt = _detect_format(text)
     try:
-        P = from_trace(parse_trace(text)) if fmt == "trace" else parse_pointset(text)
+        if fmt == "trace":
+            plan: list[Repeat] = []
+            met: set[int] = set()
+            P = from_trace(parse_trace(text, plan, met), plan, met)
+        else:
+            P = parse_pointset(text)
     except ParseError as exc:
         bad_line = next(
             lines[exc.line - first]

@@ -25,19 +25,29 @@ it.  The funnel and alternation kernels walk the accesses through
 ``stretches``, which hands them each period to fold and skips its
 copies unread.  Distinct keys have no plan.
 
+A trace is folded as it is read.  Once a key repeats, ``parse_trace``
+hands the rest of the text to ``fold.read_on``, which runs the plan's
+gap walk over the keys as it converts them, and counts each block's
+copies by comparing the block's text with the text after it; the
+copies join the key list as copies of the block, never split or
+converted.  A copy whose text differs is converted and compared as
+keys, so the plan handed to ``from_trace``, with the distinct keys, is
+exactly the plan of the keys.  Of the 264,192 accesses of the full
+separation sequence (``gen separation 3``), 2,498 are converted.
+
 The parsers (and the CLI, to find the format or a faulty line) split
-text with ``line_chunks``, about ``_CHUNK`` characters at a time, each
-piece cut right after a ``'\\n'``, so nothing holds a string per line of
-the whole input.  ``str.splitlines`` reads ``'\\r\\n'`` as one break, and
-no cut falls inside one, so the lines, their numbers and the error
-messages are those of splitting the whole text.
+text about ``_CHUNK`` characters at a time, each piece cut right after a
+``'\\n'``, so nothing holds a string per line of the whole input.
+``str.splitlines`` reads ``'\\r\\n'`` as one break, and no cut falls
+inside one, so the lines, their numbers and the error messages are
+those of splitting the whole text.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 Point = tuple[int, int]
 Repeat = tuple[int, int, int]  # (start, period, count) of one repeat-plan entry
@@ -85,8 +95,9 @@ class PointSet:
 
     @cached_property
     def keys(self) -> tuple[int, ...]:
-        """The distinct x-coordinates, ascending."""
-        return tuple(sorted(set(self.xs)))
+        """The distinct x-coordinates, ascending, from the set a trace's
+        reader met if ``from_trace`` was given one."""
+        return tuple(sorted(self.__dict__.pop("_met", None) or set(self.xs)))
 
     @cached_property
     def repeats(self) -> list[Repeat]:
@@ -137,28 +148,49 @@ def _columns(xs: Sequence[int], ys: Sequence[int]) -> PointSet:
     return P
 
 
-# Most keys compared in one slice while a repeated block is extended.
+# Most keys, or characters of a trace's text, compared in one slice
+# while a repeated block is extended.
 _SLICE = 1 << 16
 
 
-def _repeat_plan(xs: Sequence[int]) -> list[Repeat]:
+def _repeat_plan(
+    xs: Iterable[int],
+    copies: Optional[Callable[[int, int], int]] = None,
+    last: Optional[dict[int, int]] = None,
+) -> list[Repeat]:
     """One pass over the accesses that are not skipped.  Positions count
     only those, so a skipped stretch leaves the keys' gaps as if its
     copies were never there.  Once ``gap`` accesses in a row since the
     latest skip each follow their key's previous access by ``gap``, they
-    are distinct and repeat the ``gap`` before them, and the copies that
-    follow are found by comparing slices.  Counting only since the latest
-    skip keeps each entry's block before ``start`` clear of skipped
-    copies."""
+    are distinct and repeat the ``gap`` before them, and
+    ``copies(start, gap)`` counts the whole copies of them from index
+    ``start`` on and consumes those copies from ``xs``.  Counting only
+    since the latest skip keeps each entry's block before ``start``
+    clear of skipped copies.
+
+    By default ``xs`` is a key list and ``_copies`` compares its slices.
+    ``parse_trace`` walks the keys as it converts them, with its own
+    count, after ``last`` maps the keys of an all-new prefix to their
+    positions: a first access's gap is above its position plus one, so
+    it neither ends nor joins a run, and the prefix leaves no other
+    state.  ``last`` ends up holding every key walked.
+    """
     plan: list[Repeat] = []
-    last: dict[int, int] = {}  # key -> its latest position among those walked
+    last = {} if last is None else last
     get = last.get
-    never = -len(xs) - 1  # a first access's gap is beyond any run
     skipped = 0
     gap = run = 0  # the last `run` accesses each follow their key's previous one by `gap`
     accesses = iter(xs)
-    for at, x in enumerate(accesses):
-        g = at - get(x, never)
+    if copies is None:
+
+        def copies(start: int, period: int) -> int:
+            count = _copies(xs, start, period)
+            skip = count * period
+            next(islice(accesses, skip, skip), None)
+            return count
+
+    for at, x in enumerate(accesses, len(last)):
+        g = at - get(x, -2)  # a first access's gap, at + 2, can end no run
         last[x] = at
         if g != gap:
             gap = g
@@ -166,31 +198,39 @@ def _repeat_plan(xs: Sequence[int]) -> list[Repeat]:
         run += 1
         if run == gap:
             start = at + skipped + 1
-            count = _copies(xs, start, gap)
+            count = copies(start, gap)
             if count:
                 plan.append((start, gap, count))
                 skipped += count * gap
-                next(islice(accesses, count * gap, count * gap), None)
                 run = 0
     return plan
 
 
-def _copies(xs: Sequence[int], start: int, period: int) -> int:
-    """How many whole times the ``period`` keys before ``start`` repeat
-    from ``start`` on.  The periods compared at once double up to a
-    slice of ``_SLICE`` keys, then halve after the first mismatch, so the
-    keys compared are O(copies * period + period)."""
+def _copies(seq: Sequence, start: int, period: int, end: Optional[int] = None) -> int:
+    """How many whole times the ``period`` items before ``start`` repeat
+    from ``start`` on, within the first ``end`` items (all of ``seq`` by
+    default): keys of a list, or characters of a trace's text.  The
+    periods compared at once double up to a slice of ``_SLICE`` items,
+    then halve after the first mismatch, so the items compared are
+    O(copies * period + period); only a period longer than a slice is
+    compared a slice at a time."""
+    if end is None:
+        end = len(seq)
     count = 0
     step = 1
     most = max(1, _SLICE // period)
     growing = True
     while step:
-        end = start + step * period
-        if end <= len(xs) and all(
-            xs[a : min(a + _SLICE, end)] == xs[a - period : min(a + _SLICE, end) - period]
-            for a in range(start, end, _SLICE)
+        stop = start + step * period
+        if stop <= end and (
+            seq[start:stop] == seq[start - period : stop - period]
+            if stop - start <= _SLICE
+            else all(
+                seq[a : min(a + _SLICE, stop)] == seq[a - period : min(a + _SLICE, stop) - period]
+                for a in range(start, stop, _SLICE)
+            )
         ):
-            start = end
+            start = stop
             count += step
             if growing:
                 step = min(2 * step, most)
@@ -229,13 +269,23 @@ def require_distinct_xy(P: PointSet, op: str) -> None:
         raise ValueError(f"{op}: point set must have distinct x-coordinates")
 
 
-def from_trace(keys: Sequence[int]) -> PointSet:
+def from_trace(
+    keys: Sequence[int], repeats: Optional[list[Repeat]] = None, met: Optional[set[int]] = None
+) -> PointSet:
     """Geometric view of a trace: access i of key x becomes point (x, i).
 
     ``keys`` itself becomes the column ``xs`` (pass a list that nothing
-    mutates afterwards) and ``range(1, m + 1)`` the column ``ys``.
+    mutates afterwards) and ``range(1, m + 1)`` the column ``ys``.  The
+    repeat plan and the set of distinct keys that ``parse_trace`` hands
+    out are cached as they are, so neither walks the keys again.
     """
-    return _columns(keys, range(1, len(keys) + 1))
+    P = _columns(keys, range(1, len(keys) + 1))
+    if repeats is not None:
+        P.repeats = repeats
+    if met is not None:
+        P.has_distinct_x = len(met) == len(keys)
+        P._met = met
+    return P
 
 
 def time_reverse(P: PointSet) -> PointSet:
@@ -273,6 +323,14 @@ def hflip(P: PointSet) -> PointSet:
 
 
 _CHUNK = 1 << 16  # characters split into lines at a time
+_FIRST_PIECE = 64  # characters in a trace's first piece, and the first after a fold
+
+
+def _line_cut(text: str, start: int, size: int) -> int:
+    """The end of the piece of about ``size`` characters from ``start``:
+    just after a '\\n', or the end of ``text``."""
+    cut = text.find("\n", start + size - 1)
+    return len(text) if cut < 0 else cut + 1
 
 
 def line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
@@ -284,39 +342,67 @@ def line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
     lineno = 1
     start = 0
     while start < len(text):
-        cut = text.find("\n", start + _CHUNK - 1)
-        end = len(text) if cut < 0 else cut + 1
+        end = _line_cut(text, start, _CHUNK)
         lines = text[start:end].splitlines()
         yield lineno, lines
         lineno += len(lines)
         start = end
 
 
-def parse_trace(text: str) -> list[int]:
+def parse_trace(
+    text: str, plan_out: Optional[list[Repeat]] = None, keys_out: Optional[set[int]] = None
+) -> list[int]:
     """Parse a trace file: one integer key per line.
 
     Blank lines and lines whose first field starts with '#' are skipped.
-    ``int`` ignores surrounding whitespace, so a piece of well-formed
-    lines is converted as it is; only a piece with a line it refuses is
-    gone through line by line.  The key list gets one slot per '\\n' up
-    front, because growing it as it fills holds the old and the new
-    array at once; a text broken by other line breaks grows it anyway.
+    The text is converted in pieces (``_trace_piece``).  The key list
+    gets one slot per '\\n' up front, because growing it as it fills
+    holds the old and the new array at once; a text broken by other line
+    breaks grows it anyway.
+
+    The trace is folded as it is read.  While every key so far is new,
+    nothing else is done.  From the first piece that repeats a key on,
+    ``fold.read_on`` reads the rest: ``_repeat_plan`` walks the keys as
+    they are converted, and the copies of each block it finds are counted
+    on the text and join the key list unconverted.  With ``plan_out``
+    given, the plan, which is ``_repeat_plan`` of the keys, is added to
+    it; with ``keys_out`` (an empty set), the distinct keys are.
     """
     keys: list[int] = [0] * (text.count("\n") + 1)
     filled = 0
-    for first, lines in line_chunks(text):
-        try:
-            piece = list(map(int, lines))
-        except ValueError:
-            piece = _parse_trace_lines(lines, first)
+    seen = set() if keys_out is None else keys_out
+    pos, lineno, size = 0, 1, _FIRST_PIECE
+    while pos < len(text):
+        end, lines, piece = _trace_piece(text, pos, lineno, size)
+        seen.update(piece)
+        if len(seen) < filled + len(piece):  # this piece repeats a key
+            from . import fold
+
+            return fold.read_on(text, keys, filled, pos, lineno, plan_out, keys_out)
         keys[filled : filled + len(piece)] = piece
         filled += len(piece)
+        pos, lineno, size = end, lineno + lines, 2 * size
     del keys[filled:]
     return keys
 
 
+def _trace_piece(text: str, pos: int, lineno: int, size: int) -> tuple[int, int, list[int]]:
+    """The piece of ``text`` from ``pos``, where line ``lineno`` starts,
+    cut after about ``size`` characters (at most ``_CHUNK``): where it
+    ends, its number of lines, and its keys."""
+    end = _line_cut(text, pos, min(size, _CHUNK))
+    lines = text[pos:end].splitlines()
+    return end, len(lines), _parse_trace_lines(lines, lineno)
+
+
 def _parse_trace_lines(lines: list[str], first: int) -> list[int]:
-    """The keys of ``lines``, numbered from ``first``, one line at a time."""
+    """The keys of ``lines``, numbered from ``first``.  ``int`` ignores
+    surrounding whitespace, so well-formed lines are converted as they
+    are; only lines with one it refuses are gone through one at a time."""
+    try:
+        return list(map(int, lines))
+    except ValueError:
+        pass
     keys: list[int] = []
     for lineno, line in enumerate(lines, start=first):
         try:

@@ -218,18 +218,19 @@ def test_distinct_keys_build_no_repeat_plan(capsys, trace_file, tmp_path, monkey
 
 def test_hflip_carries_a_cached_repeat_plan(capsys, tmp_path, monkeypatch):
     # Negated keys repeat where P's do, so the mirror takes P's plan once
-    # it is cached, and ``transform hflip`` builds none.
+    # it is cached.  Loading a trace caches its plan, so ``transform
+    # hflip`` builds only the load's.
     plans = _counting(monkeypatch, geometry, "_repeat_plan")
     path = tmp_path / "repeats.txt"
     path.write_text("".join(f"{x}\n" for x in [1, 2, 3] * 4 + [2, 1, 3]))
     code, out, _ = run(capsys, "transform", "hflip", str(path))
     assert code == 0
-    assert plans == []
+    assert len(plans) == 1
     P = load_pointset(str(path))
     Q = geometry.hflip(P)
-    assert "repeats" not in Q.__dict__
+    assert Q.__dict__["repeats"] is P.__dict__["repeats"]
     assert P.repeats == geometry.hflip(P).repeats == Q.repeats == [(6, 3, 2)]
-    assert len(plans) == 2  # P's, and Q's, made before P's was cached
+    assert len(plans) == 2  # the two loads'
     plans.clear()
     code, out, _ = run(capsys, "verify", str(path), "--level", "quick")
     assert code == 0
@@ -731,6 +732,55 @@ def test_non_utf8_tree_file_is_a_parse_error(capsys, trace_file, tmp_path, data,
     code, out, err = run(capsys, "compute", trace_file, "--bounds", "alt", "--tree", f"@{tree}")
     assert (code, out) == (2, "")
     assert err == f"bstbounds: parse error: line {line}: not UTF-8 text in tree file {tree}\n"
+
+
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+@pytest.mark.parametrize(
+    "data, out",
+    [
+        (BOM + b"3\n1\n2\n", "funnel\t3\n"),
+        (BOM + b"# c\n3\n1\n2\n", "funnel\t3\n"),  # still read as a trace
+        (BOM + b"1 1\n2 2\n", "funnel\t1\n"),
+    ],
+    ids=["trace", "comment-first", "point-set"],
+)
+@pytest.mark.parametrize("stdin", [False, True])
+def test_a_leading_byte_order_mark_is_dropped(capsys, tmp_path, monkeypatch, data, out, stdin):
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        source = "-"
+    else:
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        source = str(path)
+    assert run(capsys, "compute", source, "--bounds", "funnel") == (0, out, "")
+
+
+def test_a_tree_file_may_start_with_a_byte_order_mark(capsys, trace_file, tmp_path):
+    tree = tmp_path / "ref.tree"
+    tree.write_bytes(BOM + SIX_TREE_TEXT.encode() + b"\n")
+    code, out, _ = run(capsys, "compute", trace_file, "--bounds", "alt", "--tree", f"@{tree}")
+    assert (code, out) == (0, "alt\t11\n")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"3\n" + BOM + b"1\n", "line 2: not an integer: '\\ufeff1'"),
+        (BOM + BOM + b"3\n", "line 1: not an integer: '\\ufeff3'"),
+        (BOM + b"1\n2\n\r\n\xff\n", "line 4: not UTF-8 text"),
+        (BOM + b"\xff\n1\n", "line 1: not UTF-8 text"),
+    ],
+    ids=["mid-text", "second-mark", "bad-byte-after-a-mark", "bad-first-byte-after-a-mark"],
+)
+def test_a_byte_order_mark_elsewhere_is_refused(capsys, tmp_path, data, message):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "compute", str(path), "--bounds", "funnel")
+    assert (code, out) == (2, "")
+    assert err == f"bstbounds: parse error: {message}\n"
 
 
 def test_tree_file_named_dash_is_a_file(capsys, trace_file, tmp_path, monkeypatch):
@@ -1446,7 +1496,7 @@ def _modules_loaded_by(argv: list[str]) -> set[str]:
     [
         (
             ["compute", "TRACE", "--bounds", "alt,alt-opt,funnel"],
-            ["bstbounds.alternation", "bstbounds.funnel"],
+            ["bstbounds.alternation", "bstbounds.funnel", "bstbounds.fold"],
             [
                 "bstbounds.verify",
                 "bstbounds.sweep",
@@ -1459,6 +1509,7 @@ def _modules_loaded_by(argv: list[str]) -> set[str]:
             ["gen", "separation", "2"],
             ["bstbounds.generators"],
             [
+                "bstbounds.fold",
                 "bstbounds.verify",
                 "bstbounds.sweep",
                 "bstbounds.zrect",
@@ -1471,6 +1522,7 @@ def _modules_loaded_by(argv: list[str]) -> set[str]:
             ["compute", "SWEEP", "--bounds", "irb-up,irb-down,funnel"],
             ["bstbounds.sweep", "bstbounds.funnel"],
             [
+                "bstbounds.fold",  # distinct keys: read without a walk
                 "bstbounds.alternation",
                 "bstbounds.zrect",
                 "bstbounds.verify",

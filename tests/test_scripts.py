@@ -43,3 +43,27 @@ def test_sweep_gap():
     header, *rows = proc.stdout.splitlines()
     assert header.startswith("n\tirb-up\tirb-down")
     assert len(rows) == 3
+
+
+def test_every_mutant_row_matches_the_code_and_names_tests_that_collect():
+    # The cheap half of the mutant table: a change that moves a row's
+    # text, or renames a test it names, fails here until the row moves.
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import mutants
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert m.old != m.new and m.tests, m.name
+        mutants.mutated_source(m, ROOT / "src")  # the old text occurs exactly once
+    ids = sorted({t for m in mutants.MUTANTS for t in m.tests})
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
+        cwd=ROOT, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    collected = [line for line in proc.stdout.splitlines() if "::" in line]
+    for test_id in ids:
+        assert any(c == test_id or c.startswith(test_id + "[") for c in collected), test_id
