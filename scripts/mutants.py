@@ -1,16 +1,17 @@
 """The standing mutant table, and a runner that checks every mutant is killed.
 
-    python3 scripts/mutants.py [--only NAME ...] [--deadline SECONDS]
+    python3 scripts/mutants.py
 
 Each row names a file under ``src/``, an exact ``old`` text that occurs
 once in it, the ``new`` text that replaces it, and the tests that must
 fail once it is replaced.  For each row the runner copies ``src/`` to a
 temporary directory, applies that one edit, and runs ``pytest -x -q``
 on the row's tests with ``PYTHONPATH`` set to the copy.  The mutant is
-killed when a test fails or the run passes the deadline (a mutant may
-loop forever); it survives when every test passes.  The runner prints
-one line per row and exits 1 if any mutant survives, 2 if a row cannot
-be run (its ``old`` text is not found once, or its tests do not run).
+killed when a test fails or the run passes ``DEADLINE`` seconds (a
+mutant may loop forever); it survives when every test passes.  The
+runner prints one line per row and exits 1 if any mutant survives, 2 if
+a row cannot be run (its ``old`` text is not found once, or its tests
+do not run).
 
 A change to the code under a row updates the row with it:
 ``tests/test_scripts.py`` checks that every ``old`` text occurs exactly
@@ -19,7 +20,6 @@ once and that every named test collects.  Stdlib only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+DEADLINE = 300.0  # seconds for one row's tests
 
 
 class Mutant(NamedTuple):
@@ -105,7 +106,7 @@ def mutated_source(m: Mutant, src: Path) -> str:
     return text.replace(m.old, m.new)
 
 
-def run_mutant(m: Mutant, deadline: float) -> str:
+def run_mutant(m: Mutant) -> str:
     """``killed``, ``survived`` or ``error: ...`` for one row."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = Path(tmp) / "src"
@@ -118,7 +119,7 @@ def run_mutant(m: Mutant, deadline: float) -> str:
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *m.tests]
         try:
             proc = subprocess.run(
-                argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=deadline
+                argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=DEADLINE
             )
         except subprocess.TimeoutExpired:
             return "killed"
@@ -129,18 +130,11 @@ def run_mutant(m: Mutant, deadline: float) -> str:
     return f"error: pytest exited {proc.returncode}: {proc.stdout[-400:]}{proc.stderr[-400:]}"
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run the rows with these names")
-    parser.add_argument("--deadline", type=float, default=300.0, help="seconds per row")
-    args = parser.parse_args(argv)
-    rows = [m for m in MUTANTS if args.only is None or m.name in args.only]
-    if args.only is not None and len(rows) != len(args.only):
-        parser.error("--only names a row that is not in the table")
+def main() -> int:
     survived = errors = 0
-    for m in rows:
+    for m in MUTANTS:
         start = time.perf_counter()
-        verdict = run_mutant(m, args.deadline)
+        verdict = run_mutant(m)
         print(f"{verdict.split(':')[0]}\t{time.perf_counter() - start:.1f} s\t{m.name}", flush=True)
         if verdict == "survived":
             survived += 1
@@ -151,4 +145,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

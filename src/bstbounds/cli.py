@@ -313,12 +313,11 @@ def load_pointset(path: str) -> PointSet:
     text = _read_input(path)
     fmt = _detect_format(text)
     try:
-        if fmt == "trace":
-            plan: list[Repeat] = []
-            met: set[int] = set()
-            P = from_trace(parse_trace(text, plan, met), plan, met)
-        else:
-            P = parse_pointset(text)
+        if fmt != "trace":
+            return parse_pointset(text)
+        plan: list[Repeat] = []
+        met: set[int] = set()
+        keys = parse_trace(text, plan, met)
     except ParseError as exc:
         bad_line = next(
             lines[exc.line - first]
@@ -328,7 +327,12 @@ def load_pointset(path: str) -> PointSet:
         if _line_format(bad_line, exc.line) != fmt:
             raise ParseError("mixed trace and point-set lines", exc.line) from None
         raise
-    return P
+    # The text is dropped before the distinct keys are sorted, and their
+    # set before they are copied, so the load peaks while it reads.
+    del text
+    distinct = sorted(met)
+    del met
+    return from_trace(keys, plan, distinct)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -139,7 +139,7 @@ class _TraceReader:
         lines = self.text[start:end].splitlines(True)
         j = k - first
         if nxt - first != len(lines):  # the piece has lines without a key
-            j = [n for n, line in enumerate(lines) if _holds_key(line)][j]
+            j = [n for n, line in enumerate(lines) if geometry._holds_key(line)][j]
         self.pos = start + sum(map(len, lines[: j + 1]))
         self.lineno = lineno + j + 1
         self.filled = s
@@ -169,11 +169,6 @@ class _TraceReader:
         return count
 
 
-def _holds_key(line: str) -> bool:
-    fields = line.split()
-    return bool(fields) and not fields[0].startswith("#")
-
-
 def _block_text(text: str, end: int, period: int) -> tuple[int, int]:
     """Where the text of the ``period`` keys whose lines end at ``end``
     starts, and its number of lines: the lines after the line of the key
@@ -188,7 +183,7 @@ def _block_text(text: str, end: int, period: int) -> tuple[int, int]:
         start = end
         found = 0
         for n, line in enumerate(reversed(lines)):
-            if _holds_key(line):
+            if geometry._holds_key(line):
                 if found == period:
                     return start, n
                 found += 1

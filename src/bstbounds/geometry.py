@@ -95,9 +95,8 @@ class PointSet:
 
     @cached_property
     def keys(self) -> tuple[int, ...]:
-        """The distinct x-coordinates, ascending, from the set a trace's
-        reader met if ``from_trace`` was given one."""
-        return tuple(sorted(self.__dict__.pop("_met", None) or set(self.xs)))
+        """The distinct x-coordinates, ascending."""
+        return tuple(sorted(set(self.xs)))
 
     @cached_property
     def repeats(self) -> list[Repeat]:
@@ -270,21 +269,23 @@ def require_distinct_xy(P: PointSet, op: str) -> None:
 
 
 def from_trace(
-    keys: Sequence[int], repeats: Optional[list[Repeat]] = None, met: Optional[set[int]] = None
+    keys: Sequence[int],
+    repeats: Optional[list[Repeat]] = None,
+    distinct: Optional[Sequence[int]] = None,
 ) -> PointSet:
     """Geometric view of a trace: access i of key x becomes point (x, i).
 
     ``keys`` itself becomes the column ``xs`` (pass a list that nothing
     mutates afterwards) and ``range(1, m + 1)`` the column ``ys``.  The
-    repeat plan and the set of distinct keys that ``parse_trace`` hands
-    out are cached as they are, so neither walks the keys again.
+    repeat plan and the distinct keys, ascending, that ``parse_trace``
+    hands out become ``repeats`` and ``keys`` as they are, so neither
+    walks the accesses again.
     """
     P = _columns(keys, range(1, len(keys) + 1))
     if repeats is not None:
         P.repeats = repeats
-    if met is not None:
-        P.has_distinct_x = len(met) == len(keys)
-        P._met = met
+    if distinct is not None:
+        P.keys = tuple(distinct)
     return P
 
 
@@ -408,13 +409,20 @@ def _parse_trace_lines(lines: list[str], first: int) -> list[int]:
         try:
             keys.append(int(line))
         except ValueError:
-            fields = line.split()
-            if not fields or fields[0].startswith("#"):
+            if not _holds_key(line):
                 continue
+            fields = line.split()
             if len(fields) != 1:
                 raise ParseError(f"expected one integer, got {line.strip()!r}", lineno) from None
             raise ParseError(f"not an integer: {fields[0]!r}", lineno) from None
     return keys
+
+
+def _holds_key(line: str) -> bool:
+    """Whether a trace's line holds a key: it is not blank, and its first
+    field does not start with '#'."""
+    fields = line.split()
+    return bool(fields) and not fields[0].startswith("#")
 
 
 def parse_pointset(text: str) -> PointSet:

@@ -210,7 +210,7 @@ def test_a_key_repeated_late_stays_inside_the_input_cap():
     try:
         plan: list = []
         met: set = set()
-        P = geometry.from_trace(parse_trace(text, plan, met), plan, met)
+        P = geometry.from_trace(parse_trace(text, plan, met), plan, sorted(met))
         assert len(P.keys) == 50_000 and P.repeats == []
         _, peak = tracemalloc.get_traced_memory()
     finally:
