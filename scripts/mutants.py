@@ -41,40 +41,43 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node IDs, relative to the repository root
 
 
+EXHAUSTIVE_FUNNEL = "tests/test_exhaustive.py::test_funnel_bound_fast_equals_funnel_bound"
+EXHAUSTIVE_ZRECTS = "tests/test_exhaustive.py::test_zrects_equal_zrects_brute"
+
 MUTANTS = (
     Mutant(
         "reader: the block's text compared one character off",
         "bstbounds/fold.py",
-        "        width = end - start\n",
-        "        width = end - start + 1\n",
+        "    width = end - start\n",
+        "    width = end - start + 1\n",
         ("tests/test_reader.py::test_copies_are_counted_on_the_text_and_never_converted",),
     ),
     Mutant(
         "reader: copies whose text differs are not compared as keys",
         "bstbounds/fold.py",
-        "                tried = s\n            self.convert()\n",
-        "                tried = s\n            break\n",
+        "            tried = s\n        reader.convert()\n",
+        "            tried = s\n        break\n",
         ("tests/test_reader.py::test_folded_read_equals_whole_read[05-for-5-in-one-copy]",),
     ),
     Mutant(
         "reader: the walk after an all-new prefix starts one access late",
-        "bstbounds/fold.py",
-        "self.given = filled  # keys handed",
-        "self.given = filled + 1  # keys handed",
+        "bstbounds/geometry.py",
+        "reader.given -= len(piece)  # the walk",
+        "reader.given -= len(piece) - 1  # the walk",
         ("tests/test_reader.py::test_folded_read_equals_whole_read_on_seeded_block_texts",),
     ),
     Mutant(
         "reader: the lines of the folded copies counted one off",
         "bstbounds/fold.py",
-        "self.lineno += count * lines\n",
-        "self.lineno += count * lines + 1\n",
+        "reader.lineno += count * lines\n",
+        "reader.lineno += count * lines + 1\n",
         ("tests/test_reader.py::test_an_error_after_thousands_of_folded_copies",),
     ),
     Mutant(
         "reader: a last copy's '\\r' and the '\\n' after it read as two breaks",
         "bstbounds/fold.py",
-        "                self.pos += 1  # the last copy's",
-        "                self.pos += 0  # the last copy's",
+        "            reader.pos += 1  # the last copy's",
+        "            reader.pos += 0  # the last copy's",
         (
             "tests/test_reader.py::test_an_error_after_thousands_of_folded_copies"
             "[after-cr-copies-then-lf]",
@@ -86,6 +89,48 @@ MUTANTS = (
         "keys_out.update(last.keys())",
         "keys_out.update(last)",
         ("tests/test_reader.py::test_a_key_repeated_late_stays_inside_the_input_cap",),
+    ),
+    Mutant(
+        "reader: a piece cut between the '\\r' and the '\\n' of a '\\r\\n'",
+        "bstbounds/geometry.py",
+        'breaks = re.compile("\\r\\n?|',
+        'breaks = re.compile("\\r|',
+        ("tests/test_reader.py::test_folded_read_equals_whole_read_on_seeded_block_texts",),
+    ),
+    Mutant(
+        "funnel: the head's links swapped when the accessed node becomes the root",
+        "bstbounds/funnel.py",
+        "node.left = head.right\n            node.right = head.left\n",
+        "node.left = head.left\n            node.right = head.right\n",
+        (EXHAUSTIVE_FUNNEL,),
+    ),
+    Mutant(
+        "funnel: a repeated key's left subtree dropped when its node is spliced out",
+        "bstbounds/funnel.py",
+        "l_tail.right = node.left\n",
+        "l_tail.right = None\n",
+        (EXHAUSTIVE_FUNNEL,),
+    ),
+    Mutant(
+        "funnel: the runs of a folded period added one copy too many",
+        "bstbounds/funnel.py",
+        "total += count * (total - mark)\n",
+        "total += (count + 1) * (total - mark)\n",
+        (EXHAUSTIVE_FUNNEL,),
+    ),
+    Mutant(
+        "zrect: the side of the first run read from the wrong neighbour",
+        "bstbounds/zrect.py",
+        "if t and xs[t - 1] > xs[t]",
+        "if t and xs[t - 1] < xs[t]",
+        (EXHAUSTIVE_ZRECTS,),
+    ),
+    Mutant(
+        "zrect: an access with fewer than two runs tops -1 z-rectangles",
+        "bstbounds/zrect.py",
+        "else max(0, (k - 2) // 2)\n",
+        "else (k - 2) // 2\n",
+        (EXHAUSTIVE_ZRECTS,),
     ),
     Mutant(
         "verify: the sweep-funnel remark ignores rows that break it",

@@ -5,9 +5,11 @@ Subcommands: ``compute`` (evaluate bounds on a trace or point set),
 a point set), ``verify`` (run the exact cross-check suite).
 
 An input is UTF-8 text, less a leading byte-order mark, and a trace or
-a point set, as its first data line says.  That line, every line the
+a point set, as its first data line says; ``geometry._data_fields`` is
+the one rule for which lines hold data.  That line, every line the
 parsers read and the line an error names are all split at the same
-cuts (``geometry.line_chunks``), so their numbers agree.  A trace's
+cuts, after any line break ``str.splitlines`` honours and never inside
+a ``'\\r\\n'`` (``geometry._line_cut``), so their numbers agree.  A trace's
 repeated blocks are folded as it is read: their copies are counted on
 its text and never converted, and the point set caches the repeat plan
 and the distinct keys the reader met.
@@ -44,6 +46,7 @@ from .geometry import (
     ParseError,
     PointSet,
     Repeat,
+    _data_fields,
     from_trace,
     hflip,
     line_chunks,
@@ -300,9 +303,8 @@ def _detect_format(text: str) -> str:
     Only the pieces of ``line_chunks`` up to that line are split."""
     for first, lines in line_chunks(text):
         for lineno, line in enumerate(lines, start=first):
-            stripped = line.lstrip()
-            if stripped and not stripped.startswith("#"):
-                return _line_format(stripped, lineno)
+            if _data_fields(line):
+                return _line_format(line, lineno)
     return "trace"
 
 

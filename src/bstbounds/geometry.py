@@ -26,8 +26,8 @@ it.  The funnel and alternation kernels walk the accesses through
 copies unread.  Distinct keys have no plan.
 
 A trace is folded as it is read.  Once a key repeats, ``parse_trace``
-hands the rest of the text to ``fold.read_on``, which runs the plan's
-gap walk over the keys as it converts them, and counts each block's
+hands its reader to ``fold.read_on``, which runs the plan's gap walk
+over the keys as they are converted, and counts each block's
 copies by comparing the block's text with the text after it; the
 copies join the key list as copies of the block, never split or
 converted.  A copy whose text differs is converted and compared as
@@ -36,15 +36,18 @@ exactly the plan of the keys.  Of the 264,192 accesses of the full
 separation sequence (``gen separation 3``), 2,498 are converted.
 
 The parsers (and the CLI, to find the format or a faulty line) split
-text about ``_CHUNK`` characters at a time, each piece cut right after a
-``'\\n'``, so nothing holds a string per line of the whole input.
+text about ``_CHUNK`` characters at a time, each piece cut right after
+a line break that ``str.splitlines`` honours (``_line_cut``), so nothing
+holds a string per line of the whole input, whatever its breaks.
 ``str.splitlines`` reads ``'\\r\\n'`` as one break, and no cut falls
 inside one, so the lines, their numbers and the error messages are
-those of splitting the whole text.
+those of splitting the whole text.  One rule, ``_data_fields``, says
+which lines hold data.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
@@ -329,16 +332,19 @@ _FIRST_PIECE = 64  # characters in a trace's first piece, and the first after a 
 
 def _line_cut(text: str, start: int, size: int) -> int:
     """The end of the piece of about ``size`` characters from ``start``:
-    just after a '\\n', or the end of ``text``."""
-    cut = text.find("\n", start + size - 1)
-    return len(text) if cut < 0 else cut + 1
+    just after a line break that ``str.splitlines`` honours, never
+    between the '\\r' and the '\\n' of a '\\r\\n', or the end of ``text``.
+    ``re`` caches the compiled pattern."""
+    breaks = re.compile("\r\n?|[\n\v\f\x1c-\x1e\x85\u2028\u2029]")
+    brk = breaks.search(text, start + size - 1)
+    return len(text) if brk is None else brk.end()
 
 
 def line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
     """The lines of ``text`` as ``str.splitlines`` gives them, in pieces:
     (number of the piece's first line, its lines), for pieces of about
-    ``_CHUNK`` characters cut right after a '\\n'.  No cut falls inside
-    a '\\r\\n', so every line and its number are those of the whole text.
+    ``_CHUNK`` characters cut by ``_line_cut``, so every line and its
+    number are those of the whole text.
     """
     lineno = 1
     start = 0
@@ -350,16 +356,64 @@ def line_chunks(text: str) -> Iterator[tuple[int, list[str]]]:
         start = end
 
 
+class _TraceReader:
+    """A trace's text converted to keys a piece at a time (``pieces``).
+
+    Pieces start at ``_FIRST_PIECE`` characters and double up to
+    ``_CHUNK``, so few keys past a repeated block are converted before
+    the fold finds it; ``seek`` starts them small again.  Each piece read
+    since is noted in ``read`` as (first key, text offset, first line
+    number), to find a key's line again.  ``keys`` gets one slot per
+    '\\n' up front, because growing it as it fills holds the old and the
+    new array at once; a text broken by other line breaks grows it
+    anyway.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.keys: list[int] = [0] * (text.count("\n") + 1)
+        self.given = 0  # keys handed out by `pieces` so far
+        self.seek(0, 1, 0)
+
+    def seek(self, pos: int, lineno: int, filled: int) -> None:
+        """Read on from offset ``pos``, where line ``lineno`` starts, into
+        the keys from index ``filled`` on."""
+        self.pos, self.lineno, self.filled = pos, lineno, filled
+        self.size = _FIRST_PIECE
+        self.read: list[tuple[int, int, int]] = []
+
+    def put(self, keys: list[int]) -> None:
+        self.keys[self.filled : self.filled + len(keys)] = keys
+        self.filled += len(keys)
+
+    def convert(self) -> bool:
+        """Add the keys of the next piece; False at the end of the text."""
+        text, pos = self.text, self.pos
+        if pos == len(text):
+            return False
+        end = _line_cut(text, pos, min(self.size, _CHUNK))
+        lines = text[pos:end].splitlines()
+        self.read.append((self.filled, pos, self.lineno))
+        self.put(_parse_trace_lines(lines, self.lineno))
+        self.pos, self.lineno, self.size = end, self.lineno + len(lines), 2 * self.size
+        return True
+
+    def pieces(self) -> Iterator[list[int]]:
+        """The keys from index ``given`` on, a piece at a time: those
+        converted already, then each piece as it is read."""
+        while self.given < self.filled or self.convert():
+            piece = self.keys[self.given : self.filled]
+            self.given = self.filled
+            yield piece
+
+
 def parse_trace(
     text: str, plan_out: Optional[list[Repeat]] = None, keys_out: Optional[set[int]] = None
 ) -> list[int]:
     """Parse a trace file: one integer key per line.
 
     Blank lines and lines whose first field starts with '#' are skipped.
-    The text is converted in pieces (``_trace_piece``).  The key list
-    gets one slot per '\\n' up front, because growing it as it fills
-    holds the old and the new array at once; a text broken by other line
-    breaks grows it anyway.
+    The text is converted a piece at a time (``_TraceReader``).
 
     The trace is folded as it is read.  While every key so far is new,
     nothing else is done.  From the first piece that repeats a key on,
@@ -369,31 +423,18 @@ def parse_trace(
     given, the plan, which is ``_repeat_plan`` of the keys, is added to
     it; with ``keys_out`` (an empty set), the distinct keys are.
     """
-    keys: list[int] = [0] * (text.count("\n") + 1)
-    filled = 0
+    reader = _TraceReader(text)
     seen = set() if keys_out is None else keys_out
-    pos, lineno, size = 0, 1, _FIRST_PIECE
-    while pos < len(text):
-        end, lines, piece = _trace_piece(text, pos, lineno, size)
+    for piece in reader.pieces():
         seen.update(piece)
-        if len(seen) < filled + len(piece):  # this piece repeats a key
+        if len(seen) < reader.given:  # this piece repeats a key
             from . import fold
 
-            return fold.read_on(text, keys, filled, pos, lineno, plan_out, keys_out)
-        keys[filled : filled + len(piece)] = piece
-        filled += len(piece)
-        pos, lineno, size = end, lineno + lines, 2 * size
-    del keys[filled:]
-    return keys
-
-
-def _trace_piece(text: str, pos: int, lineno: int, size: int) -> tuple[int, int, list[int]]:
-    """The piece of ``text`` from ``pos``, where line ``lineno`` starts,
-    cut after about ``size`` characters (at most ``_CHUNK``): where it
-    ends, its number of lines, and its keys."""
-    end = _line_cut(text, pos, min(size, _CHUNK))
-    lines = text[pos:end].splitlines()
-    return end, len(lines), _parse_trace_lines(lines, lineno)
+            reader.given -= len(piece)  # the walk starts at this piece
+            fold.read_on(reader, plan_out, keys_out)
+            break
+    del reader.keys[reader.filled :]
+    return reader.keys
 
 
 def _parse_trace_lines(lines: list[str], first: int) -> list[int]:
@@ -409,20 +450,20 @@ def _parse_trace_lines(lines: list[str], first: int) -> list[int]:
         try:
             keys.append(int(line))
         except ValueError:
-            if not _holds_key(line):
+            fields = _data_fields(line)
+            if not fields:
                 continue
-            fields = line.split()
             if len(fields) != 1:
                 raise ParseError(f"expected one integer, got {line.strip()!r}", lineno) from None
             raise ParseError(f"not an integer: {fields[0]!r}", lineno) from None
     return keys
 
 
-def _holds_key(line: str) -> bool:
-    """Whether a trace's line holds a key: it is not blank, and its first
-    field does not start with '#'."""
+def _data_fields(line: str) -> list[str]:
+    """The fields of a data line, and none for a line that holds no data:
+    a blank line, or one whose first field starts with '#'."""
     fields = line.split()
-    return bool(fields) and not fields[0].startswith("#")
+    return fields if fields and not fields[0].startswith("#") else []
 
 
 def parse_pointset(text: str) -> PointSet:
@@ -435,8 +476,8 @@ def parse_pointset(text: str) -> PointSet:
     seen_y: dict[int, int] = {}  # y -> x
     for first, lines in line_chunks(text):
         for lineno, line in enumerate(lines, start=first):
-            fields = line.split()
-            if not fields or fields[0].startswith("#"):
+            fields = _data_fields(line)
+            if not fields:
                 continue
             if len(fields) != 2:
                 raise ParseError(f"expected `<x> <y>`, got {line.strip()!r}", lineno)
@@ -461,7 +502,7 @@ def _first_line_of_y(text: str, y: int) -> int:
         lineno
         for first, lines in line_chunks(text)
         for lineno, line in enumerate(lines, start=first)
-        if (fields := line.split()) and not fields[0].startswith("#") and int(fields[1]) == y
+        if (fields := _data_fields(line)) and int(fields[1]) == y
     )
 
 

@@ -5,15 +5,24 @@ from __future__ import annotations
 import functools
 import random
 import signal
-from itertools import accumulate, permutations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import accumulate, permutations, product
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 import bstbounds as bb
 from bstbounds.alternation import _build_tree
-from bstbounds.geometry import ParseError, Point, PointSet, hflip, require_distinct_xy, require_distinct_y
+from bstbounds.geometry import (
+    ParseError,
+    Point,
+    PointSet,
+    hflip,
+    require_distinct_xy,
+    require_distinct_y,
+    rotate90,
+    time_reverse,
+)
 from bstbounds.mixing import merged_blocks
 
 # Trace with a repeated key; its alternation value for the five-leaf
@@ -168,6 +177,30 @@ def funnel_brute(P: PointSet, p: Point) -> tuple[list[Point], list[Point]]:
         if q[1] < p[1] and q[0] > p[0] and rect_points(P, p, q) == {p, q}
     ]
     return left, right
+
+
+def small_traces() -> list[list[int]]:
+    """The bounded-exhaustive inputs, shortest first, so the first one a
+    kernel fails is a smallest witness: every permutation of 1..n with
+    n <= 6 (873), and every trace over the keys 1-3 of length at most 6
+    that repeats a key (1,077)."""
+    perms = [list(p) for n in range(1, 7) for p in permutations(range(1, n + 1))]
+    repeats = [list(t) for n in range(2, 7) for t in product((1, 2, 3), repeat=n) if len(set(t)) < n]
+    return sorted(perms + repeats, key=len)
+
+
+SMALL_TRANSFORMS: dict[str, Callable[[PointSet], PointSet]] = {
+    "as-is": lambda P: P,
+    "rotate90": rotate90,
+    "hflip": hflip,
+    "time_reverse": time_reverse,
+}
+
+
+@functools.cache
+def small_inputs(transform: str) -> list[tuple[list[int], PointSet]]:
+    """Each of ``small_traces`` with its point set under ``transform``."""
+    return [(t, SMALL_TRANSFORMS[transform](bb.from_trace(t))) for t in small_traces()]
 
 
 coords = st.integers(-50, 50)

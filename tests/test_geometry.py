@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -262,6 +264,19 @@ def test_chunked_parse_matches_whole_text_parse(text, chunk):
         pointset = _parse_outcome(parse_pointset, text)
     assert got == _parse_outcome(parse_trace_whole, text)
     assert pointset == _parse_outcome(parse_pointset, text)
+
+
+@pytest.mark.parametrize(
+    "brk", ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_every_line_break_cuts_a_piece(monkeypatch, brk):
+    monkeypatch.setattr(geometry, "_CHUNK", 8)
+    text = "".join(f"{y} {y}{brk}" for y in range(100))
+    pieces = list(geometry.line_chunks(text))
+    assert len(pieces) > 20
+    assert [line for _, lines in pieces for line in lines] == text.splitlines()
+    sizes = [len(lines) for _, lines in pieces]
+    assert [first for first, _ in pieces] == list(accumulate([1] + sizes[:-1]))
 
 
 def test_parse_trace_spans_default_chunks():

@@ -182,8 +182,29 @@ def test_copies_are_counted_on_the_text_and_never_converted(monkeypatch):
         assert sum(converted) < 0.05 * 8000
         converted.clear()
     trace = bb.separation_sequence(bb.SeparationParams(3))
-    assert parse_trace(_lines(trace)) == trace
-    assert sum(converted) < 0.01 * len(trace)
+    for brk in ("\n", "\r", "\x85"):  # every break cuts a piece
+        assert parse_trace(_lines(trace, "{}" + brk)) == trace
+        assert sum(converted) < 0.01 * len(trace), repr(brk)
+        converted.clear()
+
+
+def test_a_trace_broken_by_cr_alone_loads_in_as_little_memory(tmp_path):
+    # Pieces are cut at every break, so a text broken by '\r' is read a
+    # piece at a time and its copies are never converted, as with '\n'.
+    trace = bb.separation_sequence(bb.SeparationParams(3))
+    peaks = {}
+    for brk in ("\n", "\r"):
+        path = tmp_path / "trace.txt"
+        path.write_text(_lines(trace, "{}" + brk), newline="")
+        tracemalloc.start()
+        try:
+            P = cli.load_pointset(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(P.xs) == trace
+        peaks[brk] = peak / path.stat().st_size
+    assert peaks["\r"] < peaks["\n"] + 1, peaks
 
 
 def test_copies_are_written_a_slice_at_a_time():
