@@ -43,6 +43,7 @@ class Mutant(NamedTuple):
 
 EXHAUSTIVE_FUNNEL = "tests/test_exhaustive.py::test_funnel_bound_fast_equals_funnel_bound"
 EXHAUSTIVE_ZRECTS = "tests/test_exhaustive.py::test_zrects_equal_zrects_brute"
+EXHAUSTIVE_ALT_OPT = "tests/test_exhaustive.py::test_alt_opt_equals_alt_brute"
 
 MUTANTS = (
     Mutant(
@@ -131,6 +132,41 @@ MUTANTS = (
         "else max(0, (k - 2) // 2)\n",
         "else (k - 2) // 2\n",
         (EXHAUSTIVE_ZRECTS,),
+    ),
+    Mutant(
+        "alt_opt: a best value written only to the row of its left end",
+        "bstbounds/alternation.py",
+        "value_i[j] = value_j[i] = 1 + best\n",
+        "value_i[j] = 1 + best\n",
+        (EXHAUSTIVE_ALT_OPT,),
+    ),
+    Mutant(
+        "alt_opt: the boxes of a folded period added one copy too few",
+        "bstbounds/alternation.py",
+        "here.get(box, 0) + (count + 1) * c\n",
+        "here.get(box, 0) + count * c\n",
+        (EXHAUSTIVE_ALT_OPT,),
+    ),
+    Mutant(
+        "sweep: the segment tree's tops before its phase one access too early",
+        "bstbounds/sweep.py",
+        "tree[size + c] = t + 1\n",
+        "tree[size + c] = t\n",
+        ("tests/test_sweep.py::test_both_phases_match_rescan_oracle[0]",),
+    ),
+    Mutant(
+        "sweep: the added-point types a and b swapped",
+        "bstbounds/sweep.py",
+        "AddedPointType((x, y), is_a, is_b, witness)",
+        "AddedPointType((x, y), is_b, is_a, witness)",
+        ("tests/test_sweep.py::test_classification_labels_match_documented_example",),
+    ),
+    Mutant(
+        "verify: a subtree of exactly 32 keys split instead of optimised",
+        "bstbounds/verify.py",
+        "if len(keys) <= _ALT_OPT_KEYS:",
+        "if len(keys) < _ALT_OPT_KEYS:",
+        ("tests/test_verify.py::test_full_level_up_to_32_keys_asks_alt_opt_once[32]",),
     ),
     Mutant(
         "verify: the sweep-funnel remark ignores rows that break it",

@@ -12,7 +12,9 @@ and recurses into both sides.  ``alt_bound`` walks a block repeated r
 times twice, since every copy after the second switches as the second
 did (see ``geometry``).  ``alt_opt`` maximizes it over all trees
 by an interval DP, whose switch counts for every key interval and split
-come from the funnel pairs of one move-to-root walk over the key ranks.
+come from the funnel pairs of one move-to-root walk over the key ranks;
+that walk folds the same blocks, as every copy after the second has the
+second's funnel pairs.
 
 Every tree walk here keeps its own stack instead of recursing, so a
 reference tree may be as deep as it has keys (a caterpillar).
@@ -21,6 +23,7 @@ reference tree may be as deep as it has keys (a caterpillar).
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from itertools import accumulate
 from operator import add
 from typing import Callable, NamedTuple, Sequence, Union
@@ -214,7 +217,10 @@ def alt_opt(P: PointSet) -> AltWitness:
     (L, a] x [b, R) x [a, b) of (i, j, k).  A move-to-root walk over the
     ranks meets every funnel pair, with L and R the keys of the left and
     right tails of its unzip when it reaches the earlier access.  Equal
-    boxes are counted together.
+    boxes are counted together.  P's repeated blocks are folded
+    (``PointSet.repeats``): a pair's box depends only on the accesses
+    from the earlier to the later one, so each copy after the second
+    adds the boxes the second did, and is skipped.
 
     The left end i runs down from n-1.  A box enters when i reaches a
     and leaves when i reaches L; while in, it holds its four corners in
@@ -245,33 +251,41 @@ def alt_opt(P: PointSet) -> AltWitness:
     right = [-1] * (n + 1)
     root = -1
     entering: list[dict[tuple[int, int, int], int]] = [{} for _ in range(n)]
-    for x in P.xs:
-        x = index[x]
-        node, L, R = root, -1, n
-        here = entering[x]  # the boxes with a = x
-        while node >= 0:
-            if x < node:
-                box = (L, node, R)
-                here[box] = here.get(box, 0) + 1
-                left[R] = node
-                R = node
-                node = left[node]
-            elif x > node:
-                box = (L, x, R)
-                there = entering[node]
-                there[box] = there.get(box, 0) + 1
-                right[L] = node
-                L = node
-                node = right[node]
-            else:  # an earlier access of x blocks everything below it
-                right[L] = left[node]
-                left[R] = right[node]
-                break
-        else:
-            right[L] = -1
-            left[R] = -1
-        left[x], right[x] = right[n], left[n]
-        root = x
+    for stretch, _, count in stretches(iter(P.xs), P.repeats):
+        # A period's boxes, by a, are counted apart and added count + 1 times.
+        boxes = defaultdict(dict) if count else entering
+        for x in stretch:
+            x = index[x]
+            node, L, R = root, -1, n
+            here = boxes[x]  # the boxes with a = x
+            while node >= 0:
+                if x < node:
+                    box = (L, node, R)
+                    here[box] = here.get(box, 0) + 1
+                    left[R] = node
+                    R = node
+                    node = left[node]
+                elif x > node:
+                    box = (L, x, R)
+                    there = boxes[node]
+                    there[box] = there.get(box, 0) + 1
+                    right[L] = node
+                    L = node
+                    node = right[node]
+                else:  # an earlier access of x blocks everything below it
+                    right[L] = left[node]
+                    left[R] = right[node]
+                    break
+            else:
+                right[L] = -1
+                left[R] = -1
+            left[x], right[x] = right[n], left[n]
+            root = x
+        if count:
+            for a, boxes_a in boxes.items():
+                here = entering[a]
+                for box, c in boxes_a.items():
+                    here[box] = here.get(box, 0) + (count + 1) * c
 
     # Row n of the table takes the corners at R = n and is never read.
     table = [[0] * n for _ in range(n + 1)]

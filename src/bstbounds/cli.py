@@ -379,8 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="seeds only the 20 random reference trees that --level full "
-        "samples on more than 32 distinct keys",
+        help="accepted and ignored: every check is deterministic",
     )
     p_ver.add_argument("--tsv", action="store_true", help="machine output")
     return parser

@@ -6,7 +6,10 @@ sandwich inequalities between the funnel value and the z-rectangle
 count, the reversal gap with explicit constant 3m, rotation and flip
 invariances, the sweep-count charge, and totality of the added-point
 classification.  Checks that need distinct keys are skipped (with a
-notice) when the input has repeated x-coordinates.
+notice) when the input has repeated x-coordinates.  The domination
+check walks one reference tree: at ``quick`` the balanced tree; at
+``full`` the refined tree, the balanced tree with each largest subtree
+of at most 32 keys replaced by ``alt_opt``'s tree for its keys' accesses.
 
 The funnel's definition scan ``funnel_of`` runs once per access of the
 input, in time order.  Its views' values sum to the independent funnel
@@ -25,25 +28,17 @@ replays the input once more for the z-rectangle tops.
 
 from __future__ import annotations
 
-import random
-from itertools import chain
 from typing import NamedTuple
 
 from . import alternation, funnel, sweep, zrect
-from .geometry import PointSet, hflip, rotate90, time_reverse
+from .geometry import PointSet, from_trace, hflip, rotate90, time_reverse
 
 PASS = "PASS"
 FAIL = "FAIL"
 SKIP = "SKIP"
 INFO = "INFO"
 
-# Most keys at which `full` checks the domination against alt_opt, the
-# maximum over every tree: an access has at most n - 1 funnel pairs and
-# the DP at most about n^3/6 boxes, so here alt_opt costs no more than
-# the 21 walks of at least m*log2(n) steps each.  Medians of 15 runs, in
-# ms, alt_opt vs the walks at n = 32 | 33 (2-core Intel Xeon, Python
-# 3.11): scan m = 100n 21 vs 34 | 22 vs 35, uniform m = 1000 6.8 vs 12.7
-# | 7.3 vs 12.9, permutation 1.8 vs 2.1 | 2.1 vs 2.3.
+# Most keys of a replaced subtree: n - 1 pairs per access, n^3/6 DP cells.
 _ALT_OPT_KEYS = 32
 
 
@@ -74,8 +69,8 @@ class VerifyReport:
 
 
 def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
-    """Run the suite on one point set; `quick` trims the tree sampling
-    and the sweep-based checks."""
+    """Run the suite on one point set; `quick` walks the balanced tree, not
+    the refined one, and trims the sweep-based checks.  `seed` is ignored."""
     if level not in ("quick", "full"):
         raise ValueError(f"run_checks: unknown level {level!r}")
     report = VerifyReport()
@@ -107,26 +102,17 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     funnel.move_to_root(P, runs)
     zr = sum(zrect.zrect_counts(P.xs, runs)) if P.has_distinct_x else 0
     m = len(P)
-    keys = P.keys
-    n = len(keys)
 
     # Two-sided domination: funnel(P) + funnel(rev P) >= alt_T(P) for every tree T.
-    if level == "full" and 0 < n <= _ALT_OPT_KEYS:
-        candidates = [alternation.alt_opt(P)]
-    else:  # each tree is built only once the one before it is walked
-        rng = random.Random(seed)
-        samples = range(20 if level == "full" else 0)
-        drawn = (alternation.random_tree(keys, rng) for _ in samples)
-        trees = chain([alternation.balanced_tree(keys)], drawn) if n else ()
-        candidates = ((alternation.alt_bound(P, t), t) for t in trees)
     bad = ""
-    for alt, tree in candidates:
+    if m:
+        tree = _refined_tree(P) if level == "full" else alternation.balanced_tree(P.keys)
+        alt = alternation.alt_bound(P, tree)
         if fb + fb_rev < alt:
             bad = (
                 f"funnel {fb} + reverse funnel {fb_rev} < alt {alt} "
                 f"for tree {alternation.format_tree(tree)}"
             )
-            break
     report.add("two-sided-domination", not bad, bad)
 
     # Flip invariance holds pointwise, not just in the sum; the kernel's
@@ -191,6 +177,19 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
         report.info("irb-up-down-gap", str(n_up - sweep.irb_down(P)))
 
     return report
+
+
+def _refined_tree(P: PointSet) -> alternation.Tree:
+    """The refined tree over P's keys.  Its top and the recursion are the
+    balanced tree's, so its nodes switch as that tree's do; on at most 32
+    keys it is alt_opt's witness, so the walk checks alt_opt's value too."""
+    keys = P.keys
+    if len(keys) <= _ALT_OPT_KEYS:
+        return alternation.alt_opt(P).tree
+    k = (len(keys) - 1) // 2
+    split = keys[k]
+    left = _refined_tree(from_trace([x for x in P.xs if x <= split], distinct=keys[: k + 1]))
+    return left, _refined_tree(from_trace([x for x in P.xs if x > split], distinct=keys[k + 1 :]))
 
 
 def _remark_holds(view: funnel.FunnelView, row: list[int]) -> bool:

@@ -17,6 +17,7 @@ from bstbounds.geometry import (
     ParseError,
     Point,
     PointSet,
+    _columns,
     hflip,
     require_distinct_xy,
     require_distinct_y,
@@ -143,6 +144,13 @@ def by_y_builds(monkeypatch) -> list[PointSet]:
     spy.__set_name__(PointSet, "by_y")
     monkeypatch.setattr(PointSet, "by_y", spy)
     return built
+
+
+def plan_free(P: PointSet) -> PointSet:
+    """P with an empty repeat plan, so every kernel walks every access."""
+    Q = _columns(P.xs, P.ys)
+    Q.repeats = []
+    return Q
 
 
 def perm_pointset(n: int, seed: int) -> PointSet:
@@ -344,6 +352,23 @@ def alt_bound_filtered(P: PointSet, tree: bb.Tree) -> int:
         stack.append((left, [x for x in xs if x <= boundary]))
         stack.append((right, [x for x in xs if x > boundary]))
     return total
+
+
+def tree_spans(tree: bb.Tree) -> set[tuple[int, int]]:
+    """The least and the greatest leaf key under each node of ``tree``,
+    leaves included."""
+    spans: set[tuple[int, int]] = set()
+
+    def span(node: bb.Tree) -> tuple[int, int]:
+        if isinstance(node, int):
+            lo = hi = node
+        else:
+            lo, hi = span(node[0])[0], span(node[1])[1]
+        spans.add((lo, hi))
+        return lo, hi
+
+    span(tree)
+    return spans
 
 
 def enumerate_trees(keys: Sequence[int]) -> Iterator[bb.Tree]:

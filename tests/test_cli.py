@@ -1037,6 +1037,26 @@ def test_verify_reports_failure(capsys, trio_file, monkeypatch):
     assert "two-sided-domination" in err
 
 
+def test_verify_output_ignores_the_seed(capsys, tmp_path, monkeypatch):
+    # The domination check walks one deterministic tree, so the seed,
+    # still accepted, changes no byte of the output: neither the passing
+    # run nor, with both funnels forced to 0, the failing one that prints
+    # the refined tree.
+    path = tmp_path / "perm.txt"
+    path.write_text("".join(f"{x}\n" for x in bb.random_permutation(40, 9)))
+    seeds = ([], ["--seed", "0"], ["--seed", "7"])
+    outs = [run(capsys, "verify", str(path), "--level", "full", *seed) for seed in seeds]
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1] == outs[2]
+    monkeypatch.setattr(bstbounds.funnel.FunnelView, "value", property(lambda view: 0))
+    monkeypatch.setattr(bstbounds.funnel, "funnel_bound_fast", lambda P: 0)
+    argv = ["verify", str(path), "--level", "full", "--tsv"]
+    outs = [run(capsys, *argv, *seed) for seed in seeds]
+    assert outs[0][0] == 1
+    assert "two-sided-domination\tFAIL\tfunnel 0 + reverse funnel 0 < alt " in outs[0][1]
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_verify_quick_level(capsys, trio_file):
     code, out, _ = run(capsys, "verify", trio_file, "--level", "quick")
     assert code == 0

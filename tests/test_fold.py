@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 import bstbounds as bb
 from bstbounds import geometry
-from bstbounds.alternation import _build_tree, alt_bound, balanced_tree, random_tree
+from bstbounds.alternation import _build_tree, alt_bound, alt_opt, balanced_tree, random_tree
 from bstbounds.funnel import funnel_bound, funnel_bound_fast, move_to_root
-from bstbounds.geometry import PointSet, _columns, from_trace, hflip, time_reverse
+from bstbounds.geometry import PointSet, from_trace, hflip, time_reverse
+
+from conftest import plan_free
 
 
 @st.composite
@@ -69,19 +71,12 @@ def _assert_plan_holds(xs, plan):
     assert end <= len(xs)
 
 
-def _plan_free(P: PointSet) -> PointSet:
-    """P with an empty repeat plan, so every kernel walks every access."""
-    Q = _columns(P.xs, P.ys)
-    Q.repeats = []
-    return Q
-
-
 def _caterpillar(keys):
     return _build_tree(list(keys), lambda i, j: i)
 
 
 def _assert_fold_exact(P: PointSet, rng: random.Random, reference: bool = True) -> None:
-    plain = _plan_free(P)
+    plain = plan_free(P)
     fb = funnel_bound_fast(P)
     assert fb == funnel_bound_fast(plain)
     if reference:
@@ -94,6 +89,7 @@ def _assert_fold_exact(P: PointSet, rng: random.Random, reference: bool = True) 
     keys = P.keys
     for tree in (balanced_tree(keys), random_tree(keys, rng), _caterpillar(keys)):
         assert alt_bound(P, tree) == alt_bound(plain, tree)
+    assert alt_opt(P) == alt_opt(plain)
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,7 +8,7 @@ import bstbounds.funnel
 import bstbounds.sweep
 import bstbounds.verify
 import bstbounds.zrect
-from bstbounds.alternation import alt_bound, alt_opt, balanced_tree, format_tree, random_tree
+from bstbounds.alternation import alt_bound, alt_opt, balanced_tree, format_tree
 from bstbounds.geometry import from_trace
 from bstbounds.verify import FAIL, INFO, PASS, SKIP, run_checks
 
@@ -308,15 +308,19 @@ def _counting(monkeypatch, name):
 
 @pytest.mark.parametrize("n", [2, 7, 8, 32])
 def test_full_level_up_to_32_keys_asks_alt_opt_once(monkeypatch, n):
-    for name in ("random_tree", "alt_bound"):
-        monkeypatch.setattr(bstbounds.alternation, name, _never)
+    # Up to 32 keys the refined tree is alt_opt's tree for all of P, and
+    # its one walk checks alt_opt's value.
+    monkeypatch.setattr(bstbounds.alternation, "random_tree", _never)
     opt_calls = _counting(monkeypatch, "alt_opt")
+    walked = _counting(monkeypatch, "alt_bound")
     for trace in (bb.random_permutation(n, n), [k % n + 1 for k in range(3 * n)]):
         P = from_trace(trace)
         reports = [run_checks(P, level="full", seed=seed).results for seed in (0, 1, 99)]
         assert reports[0] == reports[1] == reports[2]
         assert _by_name(run_checks(P, level="full")).get("two-sided-domination").status == PASS
-    assert len(opt_calls) == 8
+        assert [Q for (Q,) in opt_calls[-4:]] == [P] * 4
+        assert [tree for _, tree in walked[-4:]] == [alt_opt(P).tree] * 4
+    assert len(opt_calls) == len(walked) == 8
 
 
 def test_quick_level_walks_only_the_balanced_tree(monkeypatch):
@@ -328,54 +332,103 @@ def test_quick_level_walks_only_the_balanced_tree(monkeypatch):
     assert [tree for _, tree in walked] == [balanced_tree(P.keys)]
 
 
-def test_full_level_above_32_keys_walks_21_trees(monkeypatch):
-    monkeypatch.setattr(bstbounds.alternation, "alt_opt", _never)
-    sampled = _counting(monkeypatch, "random_tree")
+def test_full_level_above_32_keys_walks_one_tree(monkeypatch):
+    # 33 keys split as the balanced tree's root does, 17 | 16, and each
+    # side is alt_opt's tree for the accesses to its keys.
+    P = perm_pointset(33, 4)
+    sides = [from_trace([x for x in P.xs if (x <= P.keys[16]) == left]) for left in (True, False)]
+    refined = (alt_opt(sides[0]).tree, alt_opt(sides[1]).tree)
+    opt_calls = _counting(monkeypatch, "alt_opt")
     walked = _counting(monkeypatch, "alt_bound")
-    assert run_checks(perm_pointset(33, 4), level="full").ok
-    assert (len(sampled), len(walked)) == (20, 21)
+    assert run_checks(P, level="full").ok
+    assert [tree for _, tree in walked] == [refined]
+    assert [Q.xs for (Q,) in opt_calls] == [Q.xs for Q in sides]
 
 
-def test_full_level_builds_each_tree_once_the_one_before_is_walked(monkeypatch):
-    # Building and walking alternate, so one sampled tree at a time is
-    # held; the trees are the balanced one and then the seeded draws.
-    monkeypatch.setattr(bstbounds.alternation, "alt_opt", _never)
-    events = []
-    for name in ("balanced_tree", "random_tree", "alt_bound"):
-        real = getattr(bstbounds.alternation, name)
+@pytest.mark.parametrize("level", ["quick", "full"])
+@pytest.mark.parametrize("n", [5, 33, 200])
+def test_no_random_tree_and_no_seed(monkeypatch, level, n):
+    # Every check is deterministic: the seed is accepted and ignored.
+    monkeypatch.setattr(bstbounds.alternation, "random_tree", _never)
+    for P in (perm_pointset(n, 12), from_trace([(7 * k) % n + 1 for k in range(3 * n)])):
+        reports = [run_checks(P, level=level, seed=seed).results for seed in (0, 1, 99)]
+        assert reports[0] == reports[1] == reports[2]
+        assert all(r.status != FAIL for r in reports[0])
 
-        def logged(*args, real=real, name=name):
-            events.append((name, args[-1] if name == "alt_bound" else None))
-            return real(*args)
 
-        monkeypatch.setattr(bstbounds.alternation, name, logged)
-    P = perm_pointset(40, 6)
-    assert run_checks(P, level="full", seed=7).ok
-    assert [name for name, _ in events] == ["balanced_tree", "alt_bound"] + [
-        "random_tree",
-        "alt_bound",
-    ] * 20
-    rng = random.Random(7)
-    drawn = [random_tree(P.keys, rng) for _ in range(20)]
-    assert [tree for name, tree in events if name == "alt_bound"] == [
-        balanced_tree(P.keys),
-        *drawn,
-    ]
+def _with_subtrees(monkeypatch, seen=None):
+    """``_refined_tree`` with each replaced subtree balanced instead of
+    alt_opt's tree; the accesses Q to its keys go to ``seen``."""
+
+    def balanced_witness(Q):
+        if seen is not None:
+            seen.append(Q)
+        return bstbounds.alternation.AltWitness(0, balanced_tree(Q.keys))
+
+    monkeypatch.setattr(bstbounds.alternation, "alt_opt", balanced_witness)
+    return bstbounds.verify._refined_tree
+
+
+def test_refined_tree_with_balanced_subtrees_is_the_balanced_tree(monkeypatch):
+    refined = _with_subtrees(monkeypatch)
+    for n in [*range(1, 301), 1000, 4097]:
+        P = from_trace(random.Random(n).sample(range(-5 * n, 5 * n), n))
+        assert refined(P) == balanced_tree(P.keys), n
+
+
+def test_refined_tree_replaces_the_largest_subtrees_of_at_most_32_keys(monkeypatch):
+    # Each replaced subtree is handed the accesses to its keys, in time
+    # order; the balanced tree's nodes with more keys stay.
+    seen = []
+    refined = _with_subtrees(monkeypatch, seen)
+    P = perm_pointset(200, 3)  # 200 -> 100 -> 50 -> 25
+    refined(P)
+    assert [len(Q.keys) for Q in seen] == [25] * 8
+    for Q in seen:
+        assert Q.xs == [x for x in P.xs if Q.keys[0] <= x <= Q.keys[-1]]
+    seen.clear()
+    refined(perm_pointset(65, 3))  # 65 -> 33 | 32, 33 -> 17 | 16
+    assert [len(Q.keys) for Q in seen] == [17, 16, 32]
+
+
+def _uniform(m, n, seed):
+    rng = random.Random(seed)
+    return [rng.randint(1, n) for _ in range(m)]
+
+
+# Inputs above 32 keys: permutations, the separation sequence, and a
+# uniform trace with m >> n.
+_LARGER_INPUTS = {
+    "perm-400": lambda: bb.random_permutation(400, 0),
+    "perm-2500": lambda: bb.random_permutation(2500, 0),
+    "perm-8000": lambda: bb.random_permutation(8000, 0),
+    "separation-3": lambda: bb.separation_sequence(bb.SeparationParams(3, None)),
+    "uniform-20000-over-500": lambda: _uniform(20000, 500, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(_LARGER_INPUTS))
+def test_refined_tree_is_at_least_the_balanced_one(name):
+    P = from_trace(_LARGER_INPUTS[name]())
+    refined = bstbounds.verify._refined_tree(P)
+    assert alt_bound(P, refined) >= alt_bound(P, balanced_tree(P.keys))
 
 
 @pytest.mark.parametrize("n", [5, 32, 33])
 def test_domination_failure_names_the_tree(monkeypatch, n):
     # Negative control: with both funnels forced to 0, the check fails on
-    # alt_opt's witness up to 32 keys, and on the first walked tree, the
-    # balanced one, above.
+    # the refined tree: alt_opt's witness up to 32 keys, and above, the
+    # balanced root over alt_opt's trees for its two sides.
     monkeypatch.setattr(bstbounds.funnel.FunnelView, "value", property(lambda view: 0))
     monkeypatch.setattr(bstbounds.funnel, "funnel_bound_fast", lambda P: 0)
     P = perm_pointset(n, 8)
     if n <= 32:
-        alt, tree = alt_opt(P)
+        tree = alt_opt(P).tree
     else:
-        tree = balanced_tree(P.keys)
-        alt = alt_bound(P, tree)
+        split = P.keys[(n - 1) // 2]
+        sides = ([x for x in P.xs if x <= split], [x for x in P.xs if x > split])
+        tree = tuple(alt_opt(from_trace(xs)).tree for xs in sides)
+    alt = alt_bound(P, tree)
     result = _by_name(run_checks(P, level="full"))["two-sided-domination"]
     assert (result.status, result.detail) == (
         FAIL,
