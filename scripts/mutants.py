@@ -99,6 +99,26 @@ MUTANTS = (
         ("tests/test_reader.py::test_folded_read_equals_whole_read_on_seeded_block_texts",),
     ),
     Mutant(
+        "geometry: PointSet keeps two points at one time",
+        "bstbounds/geometry.py",
+        "        if len(set(self.ys)) < len(self.ys):\n",
+        "        if False:\n",
+        (
+            "tests/test_geometry.py::test_pointset_refuses_a_repeated_time",
+            "tests/test_funnel.py::test_funnel_requires_distinct_y",
+        ),
+    ),
+    Mutant(
+        "geometry: rotate90 takes the keys in time order, not sorted",
+        "bstbounds/geometry.py",
+        "return _columns([-time[x] for x in P.keys], list(P.keys))",
+        "return _columns([-time[x] for x in P.xs], list(P.xs))",
+        (
+            "tests/test_geometry.py::test_rotate90",
+            "tests/test_exhaustive.py::test_rotate90_equals_the_sorted_construction",
+        ),
+    ),
+    Mutant(
         "funnel: the head's links swapped when the accessed node becomes the root",
         "bstbounds/funnel.py",
         "node.left = head.right\n            node.right = head.left\n",

@@ -28,7 +28,7 @@ from itertools import accumulate
 from operator import add
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .geometry import PointSet, require_distinct_y, stretches
+from .geometry import PointSet, stretches
 
 Tree = Union[int, tuple["Tree", "Tree"]]
 
@@ -160,7 +160,6 @@ def alt_bound(P: PointSet, tree: Tree) -> int:
     periods of a block every node's last side is as after one, so each
     copy after the second adds what the second did, and is skipped.
     """
-    require_distinct_y(P, "alt_bound")
     keys = P.keys
     paths: dict[int, tuple[tuple[int, int], ...]] = {}
     nodes = 0
@@ -236,7 +235,6 @@ def alt_opt(P: PointSet) -> AltWitness:
 
     Ties pick the leftmost split, so the witness is deterministic.
     """
-    require_distinct_y(P, "alt_opt")
     if not len(P):
         raise ValueError("alt_opt: empty point set")
     keys = P.keys

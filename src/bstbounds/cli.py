@@ -52,8 +52,7 @@ from .geometry import (
     line_chunks,
     parse_pointset,
     parse_trace,
-    require_distinct_xy,
-    require_distinct_y,
+    require_distinct_x,
     rotate90,
     serialize_pointset,
     serialize_trace,
@@ -108,7 +107,7 @@ def compute_bounds(
     distinct = [b for b in bounds if b in ("zrects", "irb-up", "irb-down")]
     if distinct:  # refused under the name of the first one's kernel
         prefix = "" if distinct[0] == "zrects" else "irb_" if sweeps is None else "sweep_add_"
-        require_distinct_xy(P, prefix + distinct[0].replace("irb-", ""))
+        require_distinct_x(P, prefix + distinct[0].replace("irb-", ""))
     if "alt" in bounds or "alt-opt" in bounds:
         from . import alternation
     # The tree alt walks, costed now.  An empty P has no balanced or
@@ -483,8 +482,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     op = {"rotate": rotate90, "reverse": time_reverse, "hflip": hflip}[args.op]
-    P = op(load_pointset(args.input))
-    require_distinct_y(P, f"transform {args.op}")  # the output must parse back
+    P = load_pointset(args.input)
+    try:
+        P = op(P)
+    except ValueError:  # a rotation of repeated keys, whose output would not parse back
+        raise ValueError(
+            f"transform {args.op}: point set must have distinct y-coordinates"
+        ) from None
     sys.stdout.write(serialize_pointset(P))
     return 0
 

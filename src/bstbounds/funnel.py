@@ -34,7 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .geometry import Point, PointSet, require_distinct_y, stretches
+from .geometry import Point, PointSet, stretches
 
 
 class FunnelView(NamedTuple):
@@ -60,7 +60,6 @@ def funnel_of(P: PointSet, p: Point) -> FunnelView:
     the minimum on the right), and a point sharing p's x blocks
     everything below it on both sides.
     """
-    require_distinct_y(P, "funnel_of")
     xs, ys = P.xs, P.ys
     px, py = p
     t = bisect_left(ys, py)
@@ -102,7 +101,6 @@ def funnel_bound(P: PointSet) -> int:
     Quadratic reference, one ``f_value`` per point; ``funnel_bound_fast``
     is the fast path.
     """
-    require_distinct_y(P, "funnel_bound")
     return sum(f_value(P, p) for p in P)
 
 
@@ -191,9 +189,7 @@ def move_to_root(P: PointSet, runs_out: list[int] | None = None) -> int:
 def funnel_bound_fast(P: PointSet) -> int:
     """Funnel bound by one move-to-root replay; the production path.
 
-    Takes any point set with distinct y, repeated keys included, folds
-    its repeated blocks, and is checked differentially against
-    ``funnel_bound``.
+    Takes any point set, repeated keys included, folds its repeated
+    blocks, and is checked differentially against ``funnel_bound``.
     """
-    require_distinct_y(P, "funnel_bound_fast")
     return move_to_root(P)

@@ -5,15 +5,18 @@ becomes the point (x_i, i), with keys on the horizontal axis and time on
 the vertical axis.  All coordinates are plain Python integers, so the
 transforms below (which negate coordinates) are exact.
 
-Every ``PointSet`` is stored as its two columns ``xs`` and ``ys``, the
-points in ascending (y, x) order, which every bound kernel reads as they
+Every ``PointSet`` has distinct y, one access per time step, as a
+trace has; this is checked only where a set is built, so no kernel
+checks it.  A set is stored as its two columns ``xs`` and ``ys``, the
+points in ascending y order, which every bound kernel reads as they
 are.  A trace adopts its key list and ``range(1, m + 1)``: one list
 pointer per access (~8 B; a ``(x, y)`` tuple cost ~97 B more), never
-sorted.  A point-set file is sorted once as it is parsed, and so is any
-rotation; time reversal and the key mirror of a set with distinct y map
-the columns.  The time-ordered point list ``by_y`` and the frozenset
-behind set equality, hashing and membership are built lazily, only when
-something asks for them.
+sorted.  A point-set file is sorted once as it is parsed.  The
+transforms map the columns: time reversal reverses them, the key
+mirror keeps their order, and a rotation, which needs distinct keys,
+takes the sorted keys as its times.  The time-ordered point list
+``by_y`` and the frozenset behind set equality, hashing and membership
+are built lazily, only when something asks for them.
 
 A key block repeated back to back is folded: ``PointSet.repeats``, the
 repeat plan, names each stretch that repeats the block before it whole
@@ -50,6 +53,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import islice
+from operator import index
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 Point = tuple[int, int]
@@ -66,26 +70,27 @@ class ParseError(ValueError):
 
 
 class PointSet:
-    """Immutable finite set of integer points with set equality.
+    """Immutable finite set of integer points with distinct y, with set
+    equality.
 
-    Stored as the columns ``xs``/``ys``, the points in ascending (y, x)
-    order, each once: for a trace, the keys and the times.
-    ``PointSet(points)`` de-duplicates and sorts; builders whose points
+    Stored as the columns ``xs``/``ys``, the points in ascending y
+    order: for a trace, the keys and the times.  ``PointSet(points)``
+    takes exact integers (``operator.index``, so a float or a string
+    raises ``TypeError``), merges equal points, sorts, and raises
+    ``ValueError`` when two points share a y.  Builders whose points
     come in that order adopt their columns through ``_columns``.  Only
     ``==``, ``hash`` and ``in`` need the frozenset ``points``.
-
-    Duplicate y-coordinates are representable (rotating a set that has
-    repeated x produces them), but every bound computation refuses such
-    sets; check ``has_distinct_y`` / ``has_distinct_x`` before use.
     """
 
     xs: Sequence[int]
     ys: Sequence[int]
 
     def __init__(self, points: Iterable[Point] = ()):
-        ordered = sorted({(int(y), int(x)) for x, y in points})
+        ordered = sorted({(index(y), index(x)) for x, y in points})
         self.xs = [x for _, x in ordered]
         self.ys = [y for y, _ in ordered]
+        if len(set(self.ys)) < len(self.ys):
+            raise ValueError("PointSet: point set must have distinct y-coordinates")
 
     @cached_property
     def points(self) -> frozenset[Point]:
@@ -111,9 +116,11 @@ class PointSet:
         keys repeat no block, so they skip the pass over the accesses."""
         return [] if self.has_distinct_x else _repeat_plan(self.xs)
 
+    # Always true, and read by nothing here; kept because the layer table
+    # of perfbench/layers.py wraps this property by name.
     @cached_property
     def has_distinct_y(self) -> bool:
-        return len(set(self.ys)) == len(self)
+        return True
 
     @cached_property
     def has_distinct_x(self) -> bool:
@@ -142,11 +149,10 @@ class PointSet:
 
 def _columns(xs: Sequence[int], ys: Sequence[int]) -> PointSet:
     """The point set that adopts ``xs`` and ``ys`` as they are, with no
-    copy or check: ``ys`` must strictly ascend (distinct y, (y, x) order)."""
+    copy or check: ``ys`` must strictly ascend."""
     P = PointSet.__new__(PointSet)
     P.xs = xs
     P.ys = ys
-    P.has_distinct_y = True
     return P
 
 
@@ -260,13 +266,7 @@ def stretches(
     yield accesses, 0, 0
 
 
-def require_distinct_y(P: PointSet, op: str) -> None:
-    if not P.has_distinct_y:
-        raise ValueError(f"{op}: point set must have distinct y-coordinates")
-
-
-def require_distinct_xy(P: PointSet, op: str) -> None:
-    require_distinct_y(P, op)
+def require_distinct_x(P: PointSet, op: str) -> None:
     if not P.has_distinct_x:
         raise ValueError(f"{op}: point set must have distinct x-coordinates")
 
@@ -293,11 +293,8 @@ def from_trace(
 
 
 def time_reverse(P: PointSet) -> PointSet:
-    """Flip time: (x, y) -> (x, -y).  Involutive.  With distinct y the
-    reversed columns are in (y, x) order already, and a trace's times
-    stay a ``range``."""
-    if not P.has_distinct_y:
-        return PointSet((x, -y) for x, y in P)
+    """Flip time: (x, y) -> (x, -y).  Involutive.  The reversed columns
+    are in y order already, and a trace's times stay a ``range``."""
     ys = P.ys
     if isinstance(ys, range):
         back = ys[::-1]
@@ -308,18 +305,19 @@ def time_reverse(P: PointSet) -> PointSet:
 def rotate90(P: PointSet) -> PointSet:
     """Counter-clockwise quarter turn: (x, y) -> (-y, x).
 
-    The result has distinct y only if P had distinct x; callers that
-    need the distinct-y invariant must check the flag on the result.
+    P's keys become the times, so P must have distinct x.  The columns
+    are mapped: the keys, ascending, are the new ``ys``, and their
+    accesses' negated times, in that order, the new ``xs``.
     """
-    return PointSet((-y, x) for x, y in P)
+    require_distinct_x(P, "rotate90")
+    time = dict(zip(P.xs, P.ys))
+    return _columns([-time[x] for x in P.keys], list(P.keys))
 
 
 def hflip(P: PointSet) -> PointSet:
-    """Mirror keys: (x, y) -> (-x, y).  Involutive.  With distinct y the
-    order is by y alone, which the mirror keeps.  Negated keys repeat
-    where P's do, so P's repeat plan, if it is cached, is carried over."""
-    if not P.has_distinct_y:
-        return PointSet((-x, y) for x, y in P)
+    """Mirror keys: (x, y) -> (-x, y).  Involutive.  The order is by y
+    alone, which the mirror keeps.  Negated keys repeat where P's do, so
+    P's repeat plan, if it is cached, is carried over."""
     Q = _columns([-x for x in P.xs], P.ys)
     if "repeats" in P.__dict__:
         Q.__dict__["repeats"] = P.__dict__["repeats"]

@@ -60,7 +60,7 @@ from itertools import pairwise
 from math import inf
 from typing import NamedTuple, Optional
 
-from .geometry import Point, PointSet, require_distinct_xy
+from .geometry import Point, PointSet, require_distinct_x
 
 
 class SweepOutput(NamedTuple):
@@ -189,7 +189,7 @@ def _sweep_columns(
     """P's keys in column order and the kernel's partner columns and
     ``ends``; descending keys give the mirrored ranks m-1-r.  ``op``, the
     public function called, names it in a refusal."""
-    require_distinct_xy(P, op)
+    require_distinct_x(P, op)
     keys = P.keys[::-1] if mirrored else P.keys
     rank = {x: i for i, x in enumerate(keys)}
     return keys, *_sweep_up([rank[x] for x in P.xs])

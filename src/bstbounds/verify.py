@@ -74,9 +74,6 @@ def run_checks(P: PointSet, level: str = "full", seed: int = 0) -> VerifyReport:
     if level not in ("quick", "full"):
         raise ValueError(f"run_checks: unknown level {level!r}")
     report = VerifyReport()
-    if not P.has_distinct_y:
-        report.add("distinct-y", False, "input has repeated y-coordinates")
-        return report
 
     # One definition scan per access, in time order, gives the
     # independent funnel value and, at `full` on distinct keys, the

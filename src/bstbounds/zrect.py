@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .funnel import move_to_root
-from .geometry import PointSet, require_distinct_xy
+from .geometry import PointSet, require_distinct_x
 
 
 class ZRectResult(NamedTuple):
@@ -48,7 +48,7 @@ def zrect_counts(xs: Sequence[int], runs: Sequence[int]) -> list[int]:
 
 def zrects(P: PointSet) -> ZRectResult:
     """Count all z-rectangles, from one move-to-root replay's runs."""
-    require_distinct_xy(P, "zrects")
+    require_distinct_x(P, "zrects")
     runs: list[int] = []
     move_to_root(P, runs)
     return ZRectResult(sum(zrect_counts(P.xs, runs)))

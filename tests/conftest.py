@@ -19,8 +19,7 @@ from bstbounds.geometry import (
     PointSet,
     _columns,
     hflip,
-    require_distinct_xy,
-    require_distinct_y,
+    require_distinct_x,
     rotate90,
     time_reverse,
 )
@@ -129,6 +128,12 @@ def pointset_of_trace(keys: list[int]) -> PointSet:
     return PointSet((x, i) for i, x in enumerate(keys, start=1))
 
 
+def rotate90_sorted(P: PointSet) -> PointSet:
+    """The construction of a quarter turn from its points, kept as an
+    oracle for ``rotate90``, which maps the columns."""
+    return PointSet((-y, x) for x, y in P)
+
+
 @pytest.fixture
 def by_y_builds(monkeypatch) -> list[PointSet]:
     """The point sets whose cached ``by_y`` gets built during the test,
@@ -207,8 +212,14 @@ SMALL_TRANSFORMS: dict[str, Callable[[PointSet], PointSet]] = {
 
 @functools.cache
 def small_inputs(transform: str) -> list[tuple[list[int], PointSet]]:
-    """Each of ``small_traces`` with its point set under ``transform``."""
-    return [(t, SMALL_TRANSFORMS[transform](bb.from_trace(t))) for t in small_traces()]
+    """Each of ``small_traces`` with its point set under ``transform``;
+    ``rotate90`` refuses repeated keys, so it gets the permutations only."""
+    op = SMALL_TRANSFORMS[transform]
+    return [
+        (t, op(bb.from_trace(t)))
+        for t in small_traces()
+        if transform != "rotate90" or len(set(t)) == len(t)
+    ]
 
 
 coords = st.integers(-50, 50)
@@ -311,7 +322,7 @@ def _zrect_holds(P: PointSet, p: Point, q: Point, r: Point, s: Point) -> bool:
 def is_zrect(P: PointSet, p: Point, q: Point, r: Point, s: Point) -> bool:
     """Check the three z-rectangle conditions for roles (top p, left q,
     bottom r, right s)."""
-    require_distinct_xy(P, "is_zrect")
+    require_distinct_x(P, "is_zrect")
     for pt in (p, q, r, s):
         if pt not in P:
             raise ValueError(f"is_zrect: {pt} not in the point set")
@@ -320,7 +331,7 @@ def is_zrect(P: PointSet, p: Point, q: Point, r: Point, s: Point) -> bool:
 
 def zrects_brute(P: PointSet, max_points: int = 12) -> int:
     """Oracle count: test every ordered quadruple against the definition."""
-    require_distinct_xy(P, "zrects_brute")
+    require_distinct_x(P, "zrects_brute")
     if len(P) > max_points:
         raise ValueError(
             f"zrects_brute: {len(P)} points exceeds the cap of {max_points}"
@@ -333,7 +344,6 @@ def alt_bound_filtered(P: PointSet, tree: bb.Tree) -> int:
     kept as an oracle for ``alt_bound``: at every internal node, count
     the side switches of the keys under it, then recurse into both
     sides with the keys each side holds."""
-    require_distinct_y(P, "alt_bound_filtered")
     assert bb.tree_leaves(tree) == list(P.keys)
     total = 0
     stack = [(tree, [x for x, _ in P.by_y])]
@@ -391,7 +401,6 @@ def enumerate_trees(keys: Sequence[int]) -> Iterator[bb.Tree]:
 
 def alt_brute(P: PointSet, max_keys: int = 10) -> bb.AltWitness:
     """Exhaustive maximum over all reference trees; oracle for alt_opt."""
-    require_distinct_y(P, "alt_brute")
     if not len(P):
         raise ValueError("alt_brute: empty point set")
     keys = P.keys
@@ -476,7 +485,6 @@ def alt_opt_linked(P: PointSet) -> bb.AltWitness:
     leftmost-split tie rule as ``alt_opt``, so the witness tree must
     match too.
     """
-    require_distinct_y(P, "alt_opt")
     if not len(P):
         raise ValueError("alt_opt: empty point set")
     keys = P.keys
@@ -583,7 +591,6 @@ def alt_opt_interval_scan(P: PointSet) -> bb.AltWitness:
     and leftmost-split tie rule as ``alt_opt``, so the witness tree must
     match too.
     """
-    require_distinct_y(P, "alt_opt")
     if not len(P):
         raise ValueError("alt_opt: empty point set")
     keys = P.keys

@@ -1,18 +1,19 @@
 """Bounded-exhaustive differential checks: every fast kernel against its
 oracle on every small input (``conftest.small_traces``: all permutations
 with n <= 6 and all traces over the keys 1-3 of length at most 6 that
-repeat a key, 1,950 inputs), as given and under ``rotate90``, ``hflip``
-and ``time_reverse``.  Each check runs on the inputs its kernel accepts
-and names the first, so a smallest, input it fails.
+repeat a key, 1,950 inputs), as given and under ``rotate90`` (which
+refuses repeated keys, so on the 873 permutations only), ``hflip`` and
+``time_reverse``.  Each check runs on the inputs its kernel accepts and
+names the first, so a smallest, input it fails.
 
 The funnel, z-rectangle and alternation oracles compare coordinates only,
 so their value is that of the input's order type (the ranks of its keys
 in time order); each is computed once per order type, and the kernels
 run on every input.  The refined tree of ``verify`` is checked, with
 its replaced subtrees cut to at most 1, 2 or 3 keys, on the inputs as
-given.  All 27 tests together take 2.1-2.6 s, median 2.4 s over 5 runs
-(2-core Intel Xeon, Python 3.11; the 20 tests before the refined tree
-and the folded ``alt_opt`` took a median of 2.2 s in the same runs).
+given.  All 29 tests together take 2.3-3.0 s, median 2.4 s over 5 runs
+(2-core Intel Xeon, Python 3.11); the two tests of the transforms
+themselves take about 0.2 s of it.
 """
 
 import functools
@@ -22,6 +23,7 @@ import pytest
 import bstbounds as bb
 from bstbounds import alternation, sweep, verify
 from bstbounds.funnel import funnel_bound, funnel_bound_fast
+from bstbounds.geometry import hflip, rotate90, time_reverse
 from bstbounds.verify import run_checks
 from bstbounds.zrect import zrects
 
@@ -30,6 +32,7 @@ from conftest import (
     alt_brute,
     enumerate_trees,
     plan_free,
+    rotate90_sorted,
     small_inputs,
     sweep_down_rescan,
     sweep_up_rescan,
@@ -41,10 +44,10 @@ transforms = pytest.mark.parametrize("transform", SMALL_TRANSFORMS)
 
 
 def _first_failure(transform, holds, distinct_x=False):
-    """The first input under ``transform`` with distinct y (and x, with
+    """The first input under ``transform`` (with distinct x, with
     ``distinct_x``) on which ``holds`` is false: its trace and points."""
     for trace, P in small_inputs(transform):
-        if P.has_distinct_y and (P.has_distinct_x or not distinct_x) and not holds(P):
+        if (P.has_distinct_x or not distinct_x) and not holds(P):
             return trace, sorted(P)
     return None
 
@@ -59,6 +62,39 @@ def _by_order_type(oracle):
         return cached(tuple(rank[x] for x in P.xs))
 
     return value
+
+
+def test_every_composition_of_transforms_has_ascending_times():
+    # The three transforms generate the eight symmetries of the square,
+    # so applying each to every new set reaches every composition, of up
+    # to four transforms and beyond.  A rotation refuses repeated keys.
+    def holds(P):
+        seen = set()
+        todo = [P]
+        while todo:
+            Q = todo.pop()
+            if len(Q.xs) != len(Q.ys) or any(a >= b for a, b in zip(Q.ys, Q.ys[1:])):
+                return False
+            for op in (rotate90, hflip, time_reverse):
+                if op is rotate90 and not Q.has_distinct_x:
+                    with pytest.raises(ValueError, match="distinct x"):
+                        rotate90(Q)
+                    continue
+                R = op(Q)
+                if (columns := (tuple(R.xs), tuple(R.ys))) not in seen:
+                    seen.add(columns)
+                    todo.append(R)
+        return True
+
+    assert _first_failure("as-is", holds) is None
+
+
+def test_rotate90_equals_the_sorted_construction():
+    def holds(P):
+        Q, expected = rotate90(P), rotate90_sorted(P)
+        return (list(Q.xs), list(Q.ys)) == (expected.xs, expected.ys)
+
+    assert _first_failure("as-is", holds, True) is None
 
 
 _funnel = _by_order_type(funnel_bound)

@@ -197,4 +197,4 @@ def test_kernel_runs_match_point_values_on_rotated_and_flipped_sets(P):
 
 def test_funnel_requires_distinct_y():
     with pytest.raises(ValueError, match="distinct y"):
-        funnel_bound(PointSet([(1, 1), (2, 1)]))
+        PointSet([(1, 1), (2, 1)])

@@ -19,7 +19,7 @@ from bstbounds.geometry import (
     time_reverse,
 )
 
-from conftest import parse_trace_whole, point_sets, pointset_of_trace
+from conftest import parse_trace_whole, point_sets, pointset_of_trace, rotate90_sorted
 
 
 def test_from_trace():
@@ -46,16 +46,16 @@ def test_from_trace_matches_frozenset_construction(keys):
     assert list(fresh()) == old.by_y
     assert fresh().keys == tuple(sorted(set(keys)))
     assert fresh().has_distinct_x == old.has_distinct_x
-    assert fresh().has_distinct_y == old.has_distinct_y
     assert serialize_pointset(fresh()) == serialize_pointset(old)
-    for op in (rotate90, hflip, time_reverse):
+    ops = (rotate90, hflip, time_reverse) if old.has_distinct_x else (hflip, time_reverse)
+    for op in ops:
         assert op(fresh()) == op(old)
         assert op(fresh()).by_y == op(old).by_y
     P = fresh()
-    len(P), list(P), P.keys, P.has_distinct_x, P.has_distinct_y
+    len(P), list(P), P.keys, P.has_distinct_x
     assert "by_y" not in vars(P)
     assert P.by_y == old.by_y
-    serialize_pointset(P), rotate90(P), hflip(P), time_reverse(P)
+    serialize_pointset(P), *(op(P) for op in ops)
     assert "points" not in vars(P)
     assert fresh() == old and old == fresh()
     assert hash(fresh()) == hash(old)
@@ -68,7 +68,6 @@ def test_from_trace_matches_frozenset_construction(keys):
 def test_from_trace_coordinate_flags():
     assert from_trace([3, 1, 2]).has_distinct_x
     assert not from_trace([3, 1, 3]).has_distinct_x
-    assert from_trace([3, 1, 3]).has_distinct_y
 
 
 def test_time_reverse():
@@ -96,9 +95,31 @@ def test_rotate90():
     assert rotate90(PointSet()) == PointSet()
 
 
-def test_rotate90_flags_duplicate_y_results():
-    rotated = rotate90(from_trace([3, 1, 3]))
-    assert not rotated.has_distinct_y
+def test_rotate90_refuses_repeated_keys():
+    # Its two accesses of key 3 would share one time.
+    with pytest.raises(ValueError, match="^rotate90: point set must have distinct x-coordinates$"):
+        rotate90(from_trace([3, 1, 3]))
+
+
+@given(point_sets(distinct_x=True))
+def test_rotate90_equals_the_sorted_construction(P):
+    Q, expected = rotate90(P), rotate90_sorted(P)
+    assert (list(Q.xs), list(Q.ys)) == (expected.xs, expected.ys)
+
+
+def test_pointset_refuses_a_repeated_time():
+    with pytest.raises(ValueError, match="^PointSet: point set must have distinct y-coordinates$"):
+        PointSet([(1, 5), (2, 5)])
+    with pytest.raises(ValueError, match="distinct y"):
+        PointSet([(3, 1), (1, 2), (3, 1), (-1, 1)])
+    assert PointSet([(3, 1), (1, 2), (3, 1)]).by_y == [(3, 1), (1, 2)]  # equal points merge
+
+
+@pytest.mark.parametrize("point", [(1.5, 1), (2, 2.9), ("3", 3), (3, "3")], ids=repr)
+def test_pointset_takes_exact_integers_only(point):
+    # Truncating the times 1.2 and 1.7 would put two points in one row.
+    with pytest.raises(TypeError):
+        PointSet([(0, 0), point])
 
 
 def test_hflip():
@@ -107,7 +128,7 @@ def test_hflip():
     )
 
 
-@given(point_sets())
+@given(point_sets(distinct_x=True))
 def test_involutions(P):
     assert time_reverse(time_reverse(P)) == P
     assert hflip(hflip(P)) == P
@@ -117,7 +138,7 @@ def test_involutions(P):
     assert Q == P
 
 
-@given(point_sets())
+@given(point_sets(distinct_x=True))
 def test_reverse_is_flip_of_half_turn(P):
     assert time_reverse(P) == hflip(rotate90(rotate90(P)))
 
@@ -134,11 +155,13 @@ _SMALL = st.integers(-3, 3)
 @st.composite
 def _built_sets(draw):
     """(set, its points): a set from each builder, with repeated x,
-    repeated y (any list of points, and rotations of repeated-key
-    traces below), negative coordinates and the empty set."""
+    points given twice (which merge), negative coordinates and the
+    empty set."""
     kind = draw(st.sampled_from(["points", "trace", "parsed"]))
     if kind == "points":
-        points = draw(st.lists(st.tuples(_SMALL, _SMALL), max_size=12))
+        points = [(draw(_SMALL), y) for y in draw(st.lists(_SMALL, unique=True))]
+        if points:
+            points += draw(st.lists(st.sampled_from(points), max_size=3))
         return PointSet(points), points
     if kind == "trace":
         keys = draw(st.lists(_SMALL, max_size=12))
@@ -149,12 +172,12 @@ def _built_sets(draw):
 
 
 def _assert_columns_are_sorted_oracle(P, points):
-    expected = sorted(frozenset(points), key=lambda p: (p[1], p[0]))
+    expected = sorted(frozenset(points), key=lambda p: p[1])
     assert list(P.xs) == [x for x, _ in expected]
     assert list(P.ys) == [y for _, y in expected]
+    assert all(a < b for a, b in zip(P.ys, P.ys[1:]))
     assert list(P) == expected and len(P) == len(expected)
     assert P.keys == tuple(sorted({x for x, _ in expected}))
-    assert P.has_distinct_y == (len({y for _, y in expected}) == len(expected))
     assert P.has_distinct_x == (len(P.keys) == len(expected))
     assert P.by_y == expected
     assert P == PointSet(expected) and PointSet(expected) == P
@@ -162,16 +185,21 @@ def _assert_columns_are_sorted_oracle(P, points):
     assert hash(P) == hash(frozenset(expected))
 
 
-@given(_built_sets())
-def test_columns_match_a_sorted_oracle(built):
+@settings(max_examples=300)
+@given(_built_sets(), st.lists(st.sampled_from(list(_POINT_MAPS)), max_size=4))
+def test_columns_match_a_sorted_oracle(built, ops):
+    # Every builder, and every composition of up to four transforms, has
+    # strictly ascending times; a rotation refuses repeated keys.
     P, points = built
     _assert_columns_are_sorted_oracle(P, points)
-    for first in [None, *_POINT_MAPS]:
-        for second in _POINT_MAPS:
-            Q, mapped = P, points
-            for op in (first, second) if first else (second,):
-                Q, mapped = op(Q), [_POINT_MAPS[op](p) for p in mapped]
-            _assert_columns_are_sorted_oracle(Q, mapped)
+    Q, mapped = P, points
+    for op in ops:
+        if op is rotate90 and not Q.has_distinct_x:
+            with pytest.raises(ValueError, match="distinct x"):
+                rotate90(Q)
+            break
+        Q, mapped = op(Q), [_POINT_MAPS[op](p) for p in mapped]
+        _assert_columns_are_sorted_oracle(Q, mapped)
     # No transform changed P, although hflip shares its ys column.
     _assert_columns_are_sorted_oracle(P, points)
 

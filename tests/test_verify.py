@@ -60,11 +60,6 @@ def test_repeated_keys_skip_zrect_checks():
     assert report.ok  # skips do not fail the run
 
 
-def test_duplicate_y_fails_outright():
-    report = run_checks(bb.PointSet([(1, 1), (2, 1)]))
-    assert not report.ok
-
-
 def test_gap_is_reported_not_asserted():
     report = run_checks(TRIO, level="full")
     gap = _by_name(report)["irb-up-down-gap"]
